@@ -38,8 +38,6 @@ __all__ = [
     "activation_bound",
     "pool_values",
     "pool_ids",
-    "pool_cardinality",
-    "cpwl_cardinality",
     "maxlu2",
     "transform_eval",
     "relu_spec",
@@ -234,11 +232,6 @@ def activation_bound(spec: CpwlSpec) -> float:
     return float(np.max(np.abs(slope)))
 
 
-def cpwl_cardinality(spec: CpwlSpec) -> int:
-    """Number of representable piece ids (for code packing)."""
-    return 1 << spec.piece_count
-
-
 def pool_values(spec: PoolSpec, x) -> np.ndarray:
     """Blockwise max along the last axis; rectified pools clamp at zero."""
     arr = np.asarray(x, dtype=float)
@@ -267,10 +260,6 @@ def pool_ids(spec: PoolSpec, x) -> np.ndarray:
         top = np.take_along_axis(blocks, sel[..., None], axis=-1)[..., 0]
         ids = np.where(top > 0.0, ids, 0)
     return ids
-
-
-def pool_cardinality(spec: PoolSpec) -> int:
-    return spec.block + 1
 
 
 MAXLU2_SYMBOLS = {0: "dead", 1: "sel_left", 2: "sel_right"}

@@ -133,7 +133,7 @@ class Dag:
     def topo_order(self) -> tuple[int, ...]:
         """Topological order, smallest node id first among the available."""
         order = _lex_topological_order(len(self.nodes), self.arcs)
-        if order is None:
+        if len(order) != len(self.nodes):
             raise InvalidGraphError("graph contains a cycle")
         return order
 
@@ -162,9 +162,10 @@ class Dag:
         )
 
 
-def _lex_topological_order(
-    n_nodes: int, arcs: Sequence[Arc]
-) -> Optional[tuple[int, ...]]:
+def _lex_topological_order(n_nodes: int, arcs: Sequence[Arc]) -> tuple[int, ...]:
+    """Kahn's order, smallest node id first among the available.  Nodes on or
+    behind a cycle never become available, so they are missing from the
+    result."""
     indeg = [0] * n_nodes
     succ: list[list[int]] = [[] for _ in range(n_nodes)]
     for arc in arcs:
@@ -180,8 +181,6 @@ def _lex_topological_order(
             indeg[w] -= 1
             if indeg[w] == 0:
                 heapq.heappush(ready, w)
-    if len(order) != n_nodes:
-        return None
     return tuple(order)
 
 
@@ -250,23 +249,9 @@ def validate(dag: Dag) -> ValidationReport:
         return ValidationReport(tuple(problems), n, len(dag.arcs), 0, False)
 
     order = _lex_topological_order(n, dag.arcs)
-    is_acyclic = order is not None
+    is_acyclic = len(order) == n
     if not is_acyclic:
-        indeg = [0] * n
-        for arc in dag.arcs:
-            indeg[arc.dst] += 1
-        stack = [v for v in range(n) if indeg[v] == 0]
-        seen = set(stack)
-        while stack:
-            v = stack.pop()
-            for arc in dag.arcs:
-                if arc.src == v and arc.dst not in seen:
-                    indeg[arc.dst] -= 1
-                    if indeg[arc.dst] == 0:
-                        seen.add(arc.dst)
-                        stack.append(arc.dst)
-        cyc = sorted(set(range(n)) - seen)
-        problems.append(f"cycle through nodes {cyc}")
+        problems.append(f"cycle through nodes {sorted(set(range(n)) - set(order))}")
 
     incoming = [[] for _ in range(n)]
     outgoing = [[] for _ in range(n)]

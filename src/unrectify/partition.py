@@ -5,6 +5,11 @@ activation patterns collected along all paths into a node identifies which
 affine piece of that node's function is active.  Partitions are represented
 by these sampled region codes rather than explicit polyhedra; a dense 2-D
 grid oracle covers the small exact cases.
+
+A batch of samples is labelled by one primitive, ``_region_labels``: it folds
+the pattern columns, in code order, into one dense integer label per sample,
+so equal labels mean equal codes and label order is the lexicographic order
+of the codes.
 """
 from __future__ import annotations
 
@@ -13,14 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .basis import (
-    PoolSpec,
-    cpwl_cardinality,
-    cpwl_piece_ids,
-    cpwl_slope_offset,
-    pool_cardinality,
-    pool_ids,
-)
+from .basis import PoolSpec, cpwl_piece_ids, cpwl_slope_offset, pool_ids
 from .elements import activation_of, linear_part, pre_activation, transform_of
 from .graph import Arc, Dag, ancestors, forward, forward_batch
 from .parallel import parallel_map
@@ -87,19 +85,14 @@ class RefinementReport:
     violations: tuple[tuple[int, int], ...]
 
 
-def _subgraph_rank(dag: Dag, keep: set[int]) -> dict[int, int]:
-    """Rank of every kept node in the lexicographic topological order of the
-    induced sub-graph.  Restriction to a smaller ancestor closure preserves
-    relative ranks, which is what keeps nested codes sub-sequences."""
-    order = [nid for nid in dag.topo_order if nid in keep]
-    return {nid: i for i, nid in enumerate(order)}
-
-
 def _pattern_arcs(dag: Dag, node_id: int) -> list[Arc]:
-    """Activation arcs of the node's computable sub-graph in code order."""
+    """Activation arcs of the node's computable sub-graph in code order:
+    by the whole graph's topological rank of the head node, then by arc id.
+    A smaller ancestor closure keeps the relative order, which is what keeps
+    nested codes sub-sequences."""
     dag.require_valid()
     keep = ancestors(dag, node_id) | {node_id}
-    rank = _subgraph_rank(dag, keep)
+    rank = {nid: i for i, nid in enumerate(dag.topo_order)}
     arcs = [
         arc
         for arc in dag.arcs
@@ -118,53 +111,57 @@ def _arc_pattern(arc: Arc, src_values: np.ndarray) -> np.ndarray:
     return cpwl_piece_ids(act, pre)
 
 
-def _arc_cardinality(arc: Arc) -> int:
-    act = activation_of(arc.elem)
-    if isinstance(act, PoolSpec):
-        return pool_cardinality(act)
-    return cpwl_cardinality(act)
-
-
-def _code_matrix(
+def _region_labels(
     dag: Dag, node_id: int, xs: np.ndarray, trace: Optional[dict] = None
-) -> tuple[np.ndarray, list[Arc]]:
-    """Per-sample code rows over the node's sub-graph activation arcs.
+) -> tuple[np.ndarray, int]:
+    """Dense region label per sample and the number of distinct regions.
 
-    Columns are stored in the narrowest integer dtype their alphabet fits,
-    which keeps full-size sweeps (tens of thousands of samples with
-    thousands of pattern entries) within memory.
+    Walks the node's activation arcs in code order, one arc's patterns at a
+    time, and folds each pattern column into an int64 label as
+    ``labels * k + col`` with ``k = col.max() + 1``.  A column whose values
+    exceed the sample count is first renumbered densely, and the labels are
+    renumbered densely (``np.unique``) before a product could pass 2^62, so
+    the fold never overflows.  Renumbering keeps order, so label order is the
+    lexicographic order of the codes.
     """
     arcs = _pattern_arcs(dag, node_id)
     if trace is None:
         _, trace = forward_batch(dag, xs)
-    n = xs.shape[0]
-    if not arcs:
-        return np.zeros((n, 0), dtype=np.int64), arcs
-    cols = []
+    n = len(xs)
+    labels = np.zeros(n, dtype=np.int64)
+    bound = 1  # every label is below this
     for arc in arcs:
-        ids = _arc_pattern(arc, trace[arc.src])
-        card = _arc_cardinality(arc)
-        if card <= np.iinfo(np.uint8).max:
-            ids = ids.astype(np.uint8)
-        elif card <= np.iinfo(np.uint16).max:
-            ids = ids.astype(np.uint16)
-        cols.append(ids)
-    return np.hstack(cols), arcs
+        for col in _arc_pattern(arc, trace[arc.src]).T:
+            k = int(col.max(initial=0)) + 1
+            if k > n:
+                values, col = np.unique(col, return_inverse=True)
+                k = len(values)
+            if bound * k > 1 << 62:
+                values, labels = np.unique(labels, return_inverse=True)
+                bound = len(values)
+            labels = labels * k + col
+            bound *= k
+    values, labels = np.unique(labels, return_inverse=True)
+    return labels, len(values)
+
+
+def _shared_regions(labels: np.ndarray) -> list[np.ndarray]:
+    """Sample indices of every region holding two or more samples, in label
+    order."""
+    order = np.argsort(labels, kind="stable")
+    groups = np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
+    return [g for g in groups if len(g) >= 2]
 
 
 def region_code(dag: Dag, node_id: int, x) -> RegionCode:
     """Region code of one input at one node."""
     xs = np.asarray(x, dtype=float).reshape(1, -1)
-    ids, arcs = _code_matrix(dag, node_id, xs)
-    segments = []
-    col = 0
-    for arc in arcs:
-        # CPWL patterns carry one id per coordinate, pool patterns one per
-        # block; both equal the arc's output dimension.
-        seg = tuple(int(v) for v in ids[0, col : col + arc.out_dim])
-        segments.append(seg)
-        col += arc.out_dim
-    return RegionCode(tuple(a.id for a in arcs), tuple(segments))
+    arcs = _pattern_arcs(dag, node_id)
+    _, trace = forward_batch(dag, xs)
+    # CPWL patterns carry one id per coordinate, pool patterns one per block;
+    # both equal the arc's output dimension.
+    segments = tuple(tuple(_arc_pattern(arc, trace[arc.src])[0].tolist()) for arc in arcs)
+    return RegionCode(tuple(a.id for a in arcs), segments)
 
 
 def affine_piece(dag: Dag, node_id: int, x) -> AffinePiece:
@@ -241,15 +238,6 @@ def affine_piece(dag: Dag, node_id: int, x) -> AffinePiece:
     return AffinePiece(weight=a_mat, bias=c_vec)
 
 
-def _group_labels(ids: np.ndarray) -> tuple[np.ndarray, int]:
-    """Region label per row and the number of distinct regions."""
-    if ids.shape[1] == 0:
-        return np.zeros(ids.shape[0], dtype=np.int64), min(1, ids.shape[0]) or 1
-    _, inverse = np.unique(ids, axis=0, return_inverse=True)
-    inverse = inverse.reshape(-1)
-    return inverse, int(inverse.max()) + 1 if len(inverse) else 0
-
-
 def check_refinement(
     dag: Dag, fine_node: int, coarse_node: int, samples, trace: Optional[dict] = None
 ) -> RefinementReport:
@@ -264,18 +252,11 @@ def check_refinement(
         )
     if trace is None:
         _, trace = forward_batch(dag, xs)
-    ids_fine, _ = _code_matrix(dag, fine_node, xs, trace=trace)
-    ids_coarse, _ = _code_matrix(dag, coarse_node, xs, trace=trace)
-    la, na = _group_labels(ids_fine)
-    lb, nb = _group_labels(ids_coarse)
+    la, na = _region_labels(dag, fine_node, xs, trace=trace)
+    lb, nb = _region_labels(dag, coarse_node, xs, trace=trace)
 
     violations: list[tuple[int, int]] = []
-    order = np.argsort(la, kind="stable")
-    sorted_la = la[order]
-    boundaries = np.flatnonzero(np.diff(sorted_la)) + 1
-    for chunk in np.split(order, boundaries):
-        if len(chunk) < 2:
-            continue
+    for chunk in _shared_regions(la):
         group_lb = lb[chunk]
         if (group_lb != group_lb[0]).any():
             other = chunk[np.flatnonzero(group_lb != group_lb[0])[0]]
@@ -354,14 +335,10 @@ def partition_stats(
     xs = np.asarray(samples, dtype=float)
     if len(xs) == 0:
         raise ValueError("partition statistics need at least one sample")
-    ids, _ = _code_matrix(dag, node_id, xs, trace=trace)
-    labels_arr, n_regions = _group_labels(ids)
+    labels_arr, n_regions = _region_labels(dag, node_id, xs, trace=trace)
     sizes = np.bincount(labels_arr, minlength=n_regions)
 
-    order = np.argsort(labels_arr, kind="stable")
-    sorted_labels = labels_arr[order]
-    boundaries = np.flatnonzero(np.diff(sorted_labels)) + 1
-    groups = [chunk for chunk in np.split(order, boundaries) if len(chunk) >= 2]
+    groups = _shared_regions(labels_arr)
 
     def sweep(chunk):
         return max_pairwise_distance(xs[chunk], pair_cap=pair_cap, seed=seed)
@@ -398,8 +375,9 @@ def count_regions_2d(
     """Distinct region codes over a grid_n x grid_n lattice on box^2.
 
     A lower bound on the true region count that stabilizes as the grid is
-    refined.  Streams the lattice in row blocks; when the code alphabet fits
-    62 bits the rows are mixed-radix packed so counting stays cheap.
+    refined.  Streams the lattice in row blocks and keeps one representative
+    point per region label of each block; labelling the pooled
+    representatives counts the distinct codes over the whole lattice.
     """
     if dag.input_dim != 2:
         raise ValueError("the grid oracle needs a 2-D input space")
@@ -407,37 +385,14 @@ def count_regions_2d(
     lo, hi = float(box[0]), float(box[1])
     axis = np.linspace(lo, hi, grid_n)
 
-    arcs = _pattern_arcs(dag, node)
-    widths = [arc.out_dim for arc in arcs]
-    cards: list[int] = []
-    for arc in arcs:
-        cards.extend([_arc_cardinality(arc)] * arc.out_dim)
-    packable = True
-    strides = []
-    mult = 1
-    for c in cards:
-        strides.append(mult)
-        mult *= c
-        if mult > (1 << 62):
-            packable = False
-            break
-
-    seen: set = set()
+    reps = []
     for r0 in range(0, grid_n, row_block):
         rows = axis[r0 : r0 + row_block]
         pts = np.empty((len(rows) * grid_n, 2))
         pts[:, 0] = np.repeat(rows, grid_n)
         pts[:, 1] = np.tile(axis, len(rows))
-        ids, _ = _code_matrix(dag, node, pts)
-        if ids.shape[1] == 0:
-            seen.add(b"")
-            continue
-        if packable:
-            packed = np.zeros(len(ids), dtype=np.int64)
-            for k, s in enumerate(strides):
-                packed += ids[:, k] * s
-            seen.update(int(v) for v in np.unique(packed))
-        else:
-            rows_u = np.unique(np.ascontiguousarray(ids), axis=0)
-            seen.update(row.tobytes() for row in rows_u)
-    return len(seen)
+        labels, count = _region_labels(dag, node, pts)
+        pick = np.empty(count, dtype=np.intp)
+        pick[labels] = np.arange(len(labels))  # any member represents its label
+        reps.append(pts[pick])
+    return _region_labels(dag, node, np.vstack(reps))[1]

@@ -5,6 +5,7 @@ from conftest import random_valid_dag
 from unrectify import (
     Activation,
     ActivationAffine,
+    CpwlSpec,
     NotPiecewiseAffineError,
     PoolSpec,
     Transform,
@@ -150,6 +151,9 @@ def test_code_piece_consistency_random_networks():
             piece = affine_piece(dag, dag.output_node, xs[members[0]])
             for i in members:
                 assert np.abs(piece.apply(xs[i]) - ys[i]).max() <= 1e-9
+        out = dag.output_node
+        assert partition_stats(dag, out, xs).region_count == len(by_code)
+        assert check_refinement(dag, out, out, xs).fine_region_count == len(by_code)
 
 
 def test_check_refinement_demo_graph():
@@ -301,6 +305,40 @@ def test_count_regions_2d_random_fusions_respect_bound():
         ]
         assert total <= fusion_partition_bound(ch)
         assert total >= max(ch)
+
+
+def _lattice(box, grid_n):
+    axis = np.linspace(box[0], box[1], grid_n)
+    return np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+
+
+def test_count_regions_2d_nine_rectifiers():
+    # nine binary pattern entries: the alphabet no longer fits a uint8 radix
+    rng = np.random.default_rng(21)
+    w = rng.standard_normal((9, 2))
+    b = rng.standard_normal(9)
+    net = series(identity_dag(2), ActivationAffine(relu_spec(), w, b))
+    signs = _lattice((-5.0, 5.0), 201) @ w.T + b > 0
+    assert count_regions_2d(net, grid_n=201) == len(np.unique(signs, axis=0))
+
+
+def test_region_labels_wide_alphabets_match_codes():
+    rng = np.random.default_rng(22)
+    knots = np.linspace(-3.0, 3.0, 45)
+    many_knots = CpwlSpec(right_pieces=[(0.1, k) for k in knots])
+    nets = [
+        # piece ids up to 2^45, far above the sample count
+        series(identity_dag(2), ActivationAffine(many_knots, rng.standard_normal((3, 2)))),
+        # 70 binary entries: the fold must renumber before passing 2^62
+        series(identity_dag(2), ActivationAffine(relu_spec(), rng.standard_normal((70, 2)))),
+    ]
+    box, grid_n = (-4.0, 4.0), 41
+    pts = _lattice(box, grid_n)
+    for net in nets:
+        codes = {region_code(net, net.output_node, x).segments for x in pts}
+        assert len(codes) > 100
+        assert partition_stats(net, net.output_node, pts).region_count == len(codes)
+        assert count_regions_2d(net, box=box, grid_n=grid_n, row_block=8) == len(codes)
 
 
 def test_count_regions_2d_requires_2d():
