@@ -11,6 +11,7 @@ and never mutate their arguments.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping, Optional, Sequence
@@ -353,6 +354,13 @@ def _evaluate(dag: Dag, values: np.ndarray) -> dict[int, np.ndarray]:
             for p in parts[1:]:
                 total = total + p
             trace[nid] = total
+        # the node's sum of squares is non-finite whenever one of its entries
+        # is (or when it overflows); only then are the arc outputs inspected
+        flat = trace[nid].ravel()
+        if not math.isfinite(np.dot(flat, flat)):
+            for arc, part in zip(arcs, parts):
+                if not np.isfinite(part).all():
+                    raise ValueError(f"arc {arc.id} produced non-finite values")
     return trace
 
 

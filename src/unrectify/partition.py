@@ -287,14 +287,17 @@ def max_pairwise_distance(
         return 0.0, False
     pairs = g * (g - 1) // 2
     if pair_cap is None or pairs <= pair_cap:
-        sq = np.einsum("ij,ij->i", pts, pts)
+        # ||a||^2 + ||b||^2 - 2a.b cancels badly when the points sit far from
+        # the origin relative to their spread; centring first avoids it
+        centred = pts - pts.mean(axis=0)
+        sq = np.einsum("ij,ij->i", centred, centred)
         best = 0.0
         block = 2048
         for i0 in range(0, g, block):
-            pi = pts[i0 : i0 + block]
+            pi = centred[i0 : i0 + block]
             sqi = sq[i0 : i0 + block]
             for j0 in range(i0, g, block):
-                pj = pts[j0 : j0 + block]
+                pj = centred[j0 : j0 + block]
                 d2 = sqi[:, None] + sq[j0 : j0 + block][None, :] - 2.0 * (pi @ pj.T)
                 m = float(d2.max())
                 if m > best:

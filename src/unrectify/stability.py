@@ -13,6 +13,11 @@ growing and the network is certified stable.  The recursion sums channel
 contributions at concatenations; a root-sum-square combination would be
 tighter, but the summed form is the one the certificate is proven for, so
 the certifier keeps it.
+
+Every ||W||_2 is an upper bound, not an estimate: the top eigenvalue of the
+smaller Gram matrix G from a symmetric eigensolve, plus the rounding margin
+2(m+n)·eps·trace(G), square-rooted (see ``spectral_norm``).  The certificate
+therefore never rests on a norm rounded low.
 """
 from __future__ import annotations
 
@@ -52,70 +57,18 @@ def svd_spectral_norm(w) -> float:
     return float(np.linalg.svd(arr, compute_uv=False)[0])
 
 
-def _power_run(gram: np.ndarray, v0: np.ndarray, rtol: float, max_iter: int):
-    """Power iteration with a remainder-projected stopping test.
+def spectral_norm(w) -> float:
+    """Largest singular value of ``w``, rounded up to a guaranteed upper bound.
 
-    The Rayleigh sequence converges geometrically; the projected remaining
-    error diff * r / (1 - r), with r estimated from successive differences,
-    decides convergence rather than the raw difference, which goes small
-    long before the estimate settles when the spectral gap is tight.
-    """
-    v = v0 / np.linalg.norm(v0)
-    prev = None
-    prev_diff = None
-    for _ in range(max_iter):
-        w = gram @ v
-        new = float(v @ w)
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return 0.0, v, True
-        v = w / norm
-        if prev is not None:
-            diff = abs(new - prev)
-            scale = max(abs(new), 1e-300)
-            if diff <= 1e-15 * scale:
-                return new, v, True
-            if prev_diff is not None and prev_diff > 0.0:
-                ratio = diff / prev_diff
-                if ratio < 1.0 and diff * ratio / (1.0 - ratio) <= rtol * scale:
-                    return new, v, True
-            prev_diff = diff
-        prev = new
-    return (prev if prev is not None else 0.0), v, False
-
-
-def _boosted_rayleigh(gram: np.ndarray, v0: np.ndarray) -> float:
-    """Stagnation fallback: iterate on a repeatedly squared Gram matrix.
-
-    Squaring drives the eigenvalue ratios toward zero, so a short run
-    recovers the leading eigenvector even with a tight gap; the Rayleigh
-    quotient is then taken on the original matrix (second-order accurate in
-    the vector error).
-    """
-    b = gram / max(float(np.linalg.norm(gram, "fro")), 1e-300)
-    for _ in range(12):
-        b = b @ b
-        f = float(np.linalg.norm(b, "fro"))
-        if not np.isfinite(f) or f == 0.0:
-            break
-        b = b / f
-    v = v0 / np.linalg.norm(v0)
-    for _ in range(128):
-        w = b @ v
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            break
-        v = w / norm
-    return float(v @ gram @ v)
-
-
-def spectral_norm(w, rtol: float = 1e-10, max_iter: int = 1000) -> float:
-    """Largest singular value by power iteration on the smaller Gram matrix.
-
-    Deterministic all-ones start plus a second deterministic start (guarding
-    against orthogonality to the leading direction); runs that stagnate
-    restart on a squared Gram matrix.  The Rayleigh quotient only
-    underestimates, so the best run wins.
+    Takes the top eigenvalue of the smaller Gram matrix G from the symmetric
+    eigensolver, adds the rounding margin 2(m+n)·eps·trace(G) for an m×n
+    matrix, and returns the square root.  The margin covers both errors:
+    forming G in floating point moves it by at most gamma_k·||A||_F^2 in
+    norm (k = max(m, n) terms per entry, gamma_k ≈ k·eps), and the backward
+    stable eigensolver moves the top eigenvalue by a small multiple of
+    n·eps·||G||_2.  Since trace(G) = ||A||_F^2 >= ||G||_2, the margin
+    exceeds their sum, so the value is never below the true norm; it sits
+    at most about 2(m+n)·eps·trace(G)/||A||_2^2 relative above it.
     """
     arr = np.asarray(w, dtype=float)
     if arr.ndim != 2:
@@ -125,31 +78,23 @@ def spectral_norm(w, rtol: float = 1e-10, max_iter: int = 1000) -> float:
     if arr.size == 0:
         return 0.0
     gram = arr @ arr.T if arr.shape[0] <= arr.shape[1] else arr.T @ arr
-    n = gram.shape[0]
-    if n == 1:
-        return float(np.sqrt(max(gram[0, 0], 0.0)))
-
-    starts = [np.ones(n), np.linspace(1.0, 2.0, n)]
-    best = 0.0
-    stagnated = False
-    for v0 in starts:
-        value, _, ok = _power_run(gram, v0, rtol, max_iter)
-        best = max(best, value)
-        stagnated = stagnated or not ok
-    if stagnated:
-        for v0 in starts:
-            best = max(best, _boosted_rayleigh(gram, v0))
-    return float(np.sqrt(max(best, 0.0)))
+    top = float(np.linalg.eigvalsh(gram)[-1])
+    margin = 2.0 * sum(arr.shape) * np.finfo(float).eps * float(np.trace(gram))
+    return float(np.sqrt(max(top, 0.0) + margin))
 
 
-def _arc_coefficients(arc: Arc, norm: str) -> float:
-    """Weight-norm contribution of one arc; unit for weightless arcs."""
-    w = linear_part(arc.elem)
-    if w is None:
-        return 1.0
-    if norm == "spectral":
-        return spectral_norm(w)
-    return float(np.linalg.norm(w, "fro"))
+def _arc_norms(dag: Dag, norm: str) -> dict[int, float]:
+    """Weight-norm factor of every arc by arc id; weightless arcs count one."""
+    out = {}
+    for arc in dag.arcs:
+        w = linear_part(arc.elem)
+        if w is None:
+            out[arc.id] = 1.0
+        elif norm == "spectral":
+            out[arc.id] = spectral_norm(w)
+        else:
+            out[arc.id] = float(np.linalg.norm(w, "fro"))
+    return out
 
 
 @dataclass(frozen=True)
@@ -208,24 +153,30 @@ def level_sums(dag: Dag, d: Optional[float] = None) -> list[LevelSum]:
     dag.require_valid()
     if d is None:
         d = uniform_bound_of(dag)
+    return _level_sums(dag, d, _arc_norms(dag, "spectral"))
+
+
+def _level_sums(dag: Dag, d: float, spectral: dict[int, float]) -> list[LevelSum]:
     lvl, per_level = _arcs_by_level(dag)
-    top = max(lvl.values())
+    frob = _arc_norms(dag, "frobenius")
     out = []
-    for n in range(1, top + 1):
+    for n in range(1, max(lvl.values()) + 1):
         arcs = per_level.get(n, [])
-        spec_total = d * sum(_arc_coefficients(a, "spectral") for a in arcs)
-        frob_total = d * sum(_arc_coefficients(a, "frobenius") for a in arcs)
+        spec_total = d * sum(spectral[a.id] for a in arcs)
+        frob_total = d * sum(frob[a.id] for a in arcs)
         out.append(LevelSum(level=n, sum=spec_total, frob_sum=frob_total))
     return out
 
 
 def certify(dag: Dag, d: Optional[float] = None) -> StabilityReport:
     """Certify stability: level sums, the first all-suffix-stable level, and
-    the certified Lipschitz recursion values."""
+    the certified Lipschitz recursion values.  Each arc's spectral norm is
+    computed once and shared by the level sums and the recursion."""
     dag.require_valid()
     if d is None:
         d = uniform_bound_of(dag)
-    sums = level_sums(dag, d=d)
+    spectral = _arc_norms(dag, "spectral")
+    sums = _level_sums(dag, d, spectral)
     stable_from: Optional[int] = None
     for entry in reversed(sums):
         if entry.sum <= 1.0 + SUM_TOLERANCE:
@@ -239,7 +190,7 @@ def certify(dag: Dag, d: Optional[float] = None) -> StabilityReport:
     for n in range(1, top + 1):
         total = 0.0
         for arc in per_level.get(n, []):
-            total += _arc_coefficients(arc, "spectral") * c[lvl[arc.src]]
+            total += spectral[arc.id] * c[lvl[arc.src]]
         c[n] = d * total
     return StabilityReport(
         d=float(d),
@@ -268,7 +219,7 @@ def rescale_to_stability(dag: Dag, use_frobenius: bool = False) -> Dag:
     """
     dag.require_valid()
     d = uniform_bound_of(dag)
-    norm = "frobenius" if use_frobenius else "spectral"
+    norms = _arc_norms(dag, "frobenius" if use_frobenius else "spectral")
     lvl, per_level = _arcs_by_level(dag)
     top = max(lvl.values())
 
@@ -276,9 +227,7 @@ def rescale_to_stability(dag: Dag, use_frobenius: bool = False) -> Dag:
     for n in range(1, top + 1):
         arcs = per_level.get(n, [])
         unit_mass = d * sum(1.0 for a in arcs if linear_part(a.elem) is None)
-        weighted = d * sum(
-            _arc_coefficients(a, norm) for a in arcs if linear_part(a.elem) is not None
-        )
+        weighted = d * sum(norms[a.id] for a in arcs if linear_part(a.elem) is not None)
         total = unit_mass + weighted
         if total <= 1.0 + SUM_TOLERANCE:
             continue
@@ -341,7 +290,7 @@ def empirical_gain(
     xs = np.asarray(samples, dtype=float)
     if xs.ndim != 2 or len(xs) < 2:
         raise ValueError("empirical gain needs at least two samples")
-    if len(np.unique(xs, axis=0)) < 2:
+    if not (xs != xs[0]).any():
         raise ValueError("empirical gain needs at least two distinct samples")
     values = _level_value_matrices(dag, xs)
     top = len(values) - 1

@@ -339,7 +339,7 @@ def test_criterion_10_level_contiguity():
 
 def test_criterion_11_spectral_norm_oracle():
     rng = np.random.default_rng(11)
-    with report(11, "power iteration matches the SVD oracle to 1e-8 on 50 matrices"):
+    with report(11, "spectral norm matches the SVD oracle to 1e-8 on 50 matrices"):
         for _ in range(50):
             shape = (int(rng.integers(1, 65)), int(rng.integers(1, 65)))
             w = rng.standard_normal(shape)

@@ -3,6 +3,7 @@ import pytest
 
 from conftest import longest_path_levels, random_valid_dag
 from unrectify import (
+    Activation,
     ActivationAffine,
     Affine,
     Dag,
@@ -10,6 +11,7 @@ from unrectify import (
     Identity,
     Linear,
     Node,
+    PoolSpec,
     computable_subgraph,
     concatenate,
     duplicate,
@@ -17,6 +19,7 @@ from unrectify import (
     forward_batch,
     identity_dag,
     levels,
+    region_code,
     relu_spec,
     series,
     validate,
@@ -104,6 +107,20 @@ def test_forward_rejects_bad_inputs():
         forward(g, np.ones(2))
     with pytest.raises(ValueError):
         forward(g, np.array([1.0, np.nan, 0.0]))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_non_finite_arc_output_names_the_arc():
+    g = identity_dag(2)
+    for _ in range(2):
+        g = series(g, Affine(1e200 * np.eye(2)))
+    g = series(g, Activation(PoolSpec(2), 2))
+    with pytest.raises(ValueError, match="arc 1 "):
+        forward(g, np.ones(2))
+    with pytest.raises(ValueError, match="arc 1 "):
+        forward_batch(g, np.ones((3, 2)))
+    with pytest.raises(ValueError, match="arc 1 "):
+        region_code(g, g.output_node, np.ones(2))
 
 
 def test_forward_trace_covers_all_nodes():

@@ -245,6 +245,15 @@ def test_max_pairwise_distance_exact_blocked():
     assert got >= brute
 
 
+def test_max_pairwise_distance_tight_cluster_far_from_origin():
+    rng = np.random.default_rng(23)
+    pts = rng.standard_normal(784) + 1e-6 * rng.standard_normal((50, 784))
+    got, flagged = max_pairwise_distance(pts, pair_cap=None)
+    brute = max(np.linalg.norm(p - q) for p in pts for q in pts)
+    assert not flagged
+    assert abs(got - brute) <= 1e-9 * brute
+
+
 def test_monotone_stats_along_fusion_layers():
     rng = np.random.default_rng(10)
     layer_w = [

@@ -6,6 +6,7 @@ from unrectify import (
     ActivationAffine,
     Linear,
     build_fusion_stack,
+    build_lenet5,
     build_resnet_module,
     build_series_stack,
     certify,
@@ -21,6 +22,8 @@ from unrectify import (
     spectral_norm,
     svd_spectral_norm,
 )
+from unrectify.elements import linear_part
+from unrectify.stability import SUM_TOLERANCE
 
 
 def scaled_matrix(rng, shape, norm):
@@ -38,6 +41,28 @@ def test_spectral_norm_matches_svd_oracle():
     for _ in range(50):
         m = rng.standard_normal((int(rng.integers(1, 65)), int(rng.integers(1, 65))))
         assert abs(spectral_norm(m) - svd_spectral_norm(m)) <= 1e-8
+
+
+def test_spectral_norm_bounds_svd_on_lenet_arcs():
+    weights = [linear_part(a.elem) for a in build_lenet5(seed=0).arcs]
+    weights = [w for w in weights if w is not None]
+    assert len(weights) == 47
+    for w in weights:
+        assert spectral_norm(w) >= svd_spectral_norm(w)
+
+
+def test_spectral_norm_without_spectral_gap():
+    # every singular value is 1; the smaller Gram matrix is an identity, so
+    # the stated margin is 2(m+n)·eps·min(m, n), within 1e-12 up to n = 40
+    rng = np.random.default_rng(22)
+    for n in (2, 7, 40, 300):
+        rows = np.sort(rng.choice(n, size=max(1, n // 2), replace=False))
+        for w in (np.eye(n)[rng.permutation(n)], np.eye(n)[rows], np.eye(n)[rows].T):
+            value = spectral_norm(w)
+            margin = 2 * sum(w.shape) * np.finfo(float).eps * min(w.shape)
+            assert 1.0 <= value <= 1.0 + margin
+            if n <= 40:
+                assert abs(value - 1.0) <= 1e-12
 
 
 def test_spectral_norm_scaling_and_transpose():
@@ -205,6 +230,45 @@ def test_rescale_frobenius_bounds_both_norms():
         assert entry.sum <= 1.0 + 1e-12
 
 
+def svd_level_sums(dag, d):
+    lvl = levels(dag)
+    sums = np.zeros(max(lvl.values()) + 1)
+    for arc in dag.arcs:
+        w = linear_part(arc.elem)
+        sums[lvl[arc.dst]] += 1.0 if w is None else svd_spectral_norm(w)
+    return d * sums[1:]
+
+
+def test_spectrally_rescaled_certificates_hold_against_svd():
+    rng = np.random.default_rng(24)
+    nets = []
+    for _ in range(4):
+        dim = int(rng.integers(8, 21))
+        layer_w = [
+            (
+                rng.standard_normal((dim, dim)),
+                rng.standard_normal(dim),
+                rng.standard_normal((dim, dim)),
+                rng.standard_normal(dim),
+            )
+            for _ in range(int(rng.integers(3, 6)))
+        ]
+        nets.append(build_fusion_stack(layer_w, mode="compact"))
+        dims = [int(v) for v in rng.integers(4, 33, int(rng.integers(4, 7)))]
+        nets.append(
+            build_series_stack([rng.standard_normal((b, a)) for a, b in zip(dims, dims[1:])])
+        )
+    certified = 0
+    for net in nets:
+        scaled = rescale_to_stability(net)
+        report = certify(scaled)
+        if report.certified:
+            certified += 1
+            svd = svd_level_sums(scaled, report.d)
+            assert np.all(svd[report.stable_from - 1 :] <= 1.0 + SUM_TOLERANCE)
+    assert certified == len(nets)
+
+
 def test_rescale_preserves_biases_and_function_shape():
     rng = np.random.default_rng(13)
     w = scaled_matrix(rng, (3, 3), 4.0)
@@ -249,6 +313,8 @@ def test_empirical_gain_requires_two_distinct_samples():
         empirical_gain(net, np.zeros((1, 2)))
     with pytest.raises(ValueError):
         empirical_gain(net, np.zeros((5, 2)))
+    with pytest.raises(ValueError, match="distinct"):
+        empirical_gain(net, np.tile([1.5, -2.0], (4, 1)))
 
 
 def test_empirical_gain_subsampling_close_to_full():
