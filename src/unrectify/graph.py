@@ -510,6 +510,10 @@ def duplicate(g: Dag, m: int) -> Dag:
 
 def ancestors(dag: Dag, node_id: int) -> set[int]:
     """All nodes with a path to ``node_id`` (excluding the node itself)."""
+    if not (0 <= node_id < len(dag.nodes)):
+        raise ValueError(
+            f"node {node_id} does not exist; node ids run from 0 to {len(dag.nodes) - 1}"
+        )
     seen: set[int] = set()
     frontier = [node_id]
     while frontier:
@@ -529,8 +533,6 @@ def computable_subgraph(dag: Dag, node_id: int) -> Dag:
     takes in the full graph.
     """
     dag.require_valid()
-    if not (0 <= node_id < len(dag.nodes)):
-        raise ValueError(f"node {node_id} does not exist")
     keep = ancestors(dag, node_id) | {node_id}
     if 0 not in keep:
         raise ValueError(f"node {node_id} is not reachable from the input")

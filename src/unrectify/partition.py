@@ -3,8 +3,10 @@
 Every activation arc splits the input space; the concatenation of the
 activation patterns collected along all paths into a node identifies which
 affine piece of that node's function is active.  Partitions are represented
-by these sampled region codes rather than explicit polyhedra; a dense 2-D
-grid oracle covers the small exact cases.
+by these sampled region codes rather than explicit polyhedra.  A 2-D lattice
+count covers the small exact cases: without transforms each region is an
+intersection of half-spaces, hence convex, so the count refines only the
+lattice cells whose corners carry different codes.
 
 A batch of samples is labelled by one primitive, ``_region_labels``: it folds
 the pattern columns, in code order, into one dense integer label per sample,
@@ -102,6 +104,12 @@ def _pattern_arcs(dag: Dag, node_id: int) -> list[Arc]:
     return arcs
 
 
+def _first_transform(dag: Dag, keep: set[int]) -> Optional[Arc]:
+    """Lowest-id transform arc into ``keep``, an ancestor closure, or None."""
+    arcs = (arc for arc in dag.arcs if arc.dst in keep and transform_of(arc.elem) is not None)
+    return next(arcs, None)
+
+
 def _arc_pattern(arc: Arc, src_values: np.ndarray) -> np.ndarray:
     """Integer pattern ids for one activation arc, batch in rows."""
     act = activation_of(arc.elem)
@@ -173,11 +181,11 @@ def affine_piece(dag: Dag, node_id: int, x) -> AffinePiece:
     """
     dag.require_valid()
     keep = ancestors(dag, node_id) | {node_id}
-    for arc in dag.arcs:
-        if arc.src in keep and arc.dst in keep and transform_of(arc.elem) is not None:
-            raise NotPiecewiseAffineError(
-                f"arc {arc.id} applies a transform; the function is not piecewise affine"
-            )
+    arc = _first_transform(dag, keep)
+    if arc is not None:
+        raise NotPiecewiseAffineError(
+            f"arc {arc.id} applies a transform; the function is not piecewise affine"
+        )
     _, trace = forward(dag, x)
     dim_in = dag.input_dim
     arc_by_id = {arc.id: arc for arc in dag.arcs}
@@ -368,6 +376,21 @@ def fusion_partition_bound(channel_counts: Sequence[int]) -> int:
     return total
 
 
+def _tiles(stop: int, side: int) -> tuple[np.ndarray, np.ndarray]:
+    """First and last index of runs of ``side`` indices covering 0..stop-1."""
+    first = np.arange(0, stop, side)
+    return first, np.minimum(first + side, stop) - 1
+
+
+def _bisect(cells: np.ndarray, axis: int) -> np.ndarray:
+    """Halve the cells (first row, last row, first column, last column) longer
+    than one step along ``axis``, 0 or 2; the halves share the middle line."""
+    split = cells[axis + 1] - cells[axis] > 1
+    upper, lower = cells[:, split], cells.copy()
+    upper[axis] = lower[axis + 1, split] = (cells[axis, split] + cells[axis + 1, split]) // 2
+    return np.hstack([lower, upper])
+
+
 def count_regions_2d(
     dag: Dag,
     box: tuple[float, float] = (-5.0, 5.0),
@@ -378,24 +401,52 @@ def count_regions_2d(
     """Distinct region codes over a grid_n x grid_n lattice on box^2.
 
     A lower bound on the true region count that stabilizes as the grid is
-    refined.  Streams the lattice in row blocks and keeps one representative
-    point per region label of each block; labelling the pooled
-    representatives counts the distinct codes over the whole lattice.
+    refined.  Without a transform arc in the node's sub-graph each code fixes
+    one affine map, so its region is an intersection of half-planes, hence
+    convex: a rectangle whose four corners share a code holds no other code.
+    The lattice is walked in strips of ``row_block`` rows, which is also the
+    side of the starting cells.  Each round labels the distinct corners of
+    the live cells, keeping one point per label, and bisects the cells whose
+    corners disagree along each side longer than one step.  Transforms
+    (softmax, sigmoid, tanh) break convexity; with one, cells start at 2x2
+    points, so every lattice point is labelled.  Labelling the kept points
+    counts the distinct codes over the whole lattice.
     """
     if dag.input_dim != 2:
         raise ValueError("the grid oracle needs a 2-D input space")
+    for name, value in (("grid_n", grid_n), ("row_block", row_block)):
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
     node = dag.output_node if node_id is None else node_id
-    lo, hi = float(box[0]), float(box[1])
-    axis = np.linspace(lo, hi, grid_n)
+    side = row_block if _first_transform(dag, ancestors(dag, node) | {node}) is None else 2
+    axis = np.linspace(float(box[0]), float(box[1]), grid_n)
 
+    hit = np.zeros(min(row_block, grid_n) * grid_n, dtype=bool)
+    col_tiles = _tiles(grid_n, side)
+    cols = np.union1d(*col_tiles)
     reps = []
     for r0 in range(0, grid_n, row_block):
-        rows = axis[r0 : r0 + row_block]
-        pts = np.empty((len(rows) * grid_n, 2))
-        pts[:, 0] = np.repeat(rows, grid_n)
-        pts[:, 1] = np.tile(axis, len(rows))
-        labels, count = _region_labels(dag, node, pts)
-        pick = np.empty(count, dtype=np.intp)
-        pick[labels] = np.arange(len(labels))  # any member represents its label
-        reps.append(pts[pick])
+        first, last = _tiles(min(row_block, grid_n - r0), side)
+        cells = np.stack(np.broadcast_arrays(first[:, None], last[:, None], *col_tiles)).reshape(4, -1)
+        # the starting cells' distinct corners: every edge row with every edge column
+        rows = np.union1d(first, last)
+        idx = (rows[:, None] * grid_n + cols).ravel()
+        pts = np.stack(np.broadcast_arrays(axis[r0 + rows, None], axis[cols]), axis=-1).reshape(-1, 2)
+        while True:
+            labels, count = _region_labels(dag, node, pts)
+            pick = np.empty(count, dtype=np.intp)
+            pick[labels] = np.arange(len(labels))  # any member represents its label
+            reps.append(pts[pick])
+            cells = cells[:, (cells[1] - cells[0] > 1) | (cells[3] - cells[2] > 1)]
+            # row-major index in the strip of each corner, shape (2, 2, cells)
+            flat = (cells[:2] * grid_n)[:, None] + cells[None, 2:]
+            corners = labels[np.searchsorted(idx, flat)]
+            cells = _bisect(_bisect(cells[:, (corners != corners[0, 0]).any(axis=(0, 1))], 0), 2)
+            if not cells.size:
+                break
+            hit[(cells[:2] * grid_n)[:, None] + cells[None, 2:]] = True
+            idx = np.flatnonzero(hit)
+            hit[idx] = False
+            row = idx // grid_n
+            pts = np.column_stack([axis[r0 + row], axis[idx - row * grid_n]])
     return _region_labels(dag, node, np.vstack(reps))[1]

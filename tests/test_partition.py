@@ -9,12 +9,14 @@ from unrectify import (
     NotPiecewiseAffineError,
     PoolSpec,
     Transform,
+    TransformAffine,
     TransformSpec,
     affine_piece,
     build_demo_network,
     build_fusion_module,
     build_fusion_stack,
     check_refinement,
+    computable_subgraph,
     count_regions_2d,
     forward,
     forward_batch,
@@ -24,7 +26,7 @@ from unrectify import (
     relu_spec,
     series,
 )
-from unrectify.partition import max_pairwise_distance, region_code
+from unrectify.partition import _region_labels, max_pairwise_distance, region_code
 
 
 def relu_layer(dim):
@@ -350,9 +352,77 @@ def test_region_labels_wide_alphabets_match_codes():
         assert count_regions_2d(net, box=box, grid_n=grid_n, row_block=8) == len(codes)
 
 
+def _refinement_cases():
+    rng = np.random.default_rng(23)
+
+    def layer(g, act, n_out):
+        w = rng.standard_normal((n_out, g.output_dim))
+        return series(g, ActivationAffine(act, w, rng.standard_normal(n_out)))
+
+    base = identity_dag(2)
+    for lines in (3, 8, 25):
+        yield layer(base, relu_spec(), lines)
+    for _ in range(2):
+        yield layer(layer(base, relu_spec(), 6), relu_spec(), 4)
+    for rectified in (True, False):
+        yield layer(base, PoolSpec(3, rectified=rectified), 9)
+    for _ in range(2):
+        yield build_fusion_module([rng.standard_normal((2, 2)), rng.standard_normal((2, 2))])
+
+
+def test_count_regions_2d_equals_full_lattice_labels():
+    # cell refinement must count exactly the distinct codes of every lattice point
+    for net in _refinement_cases():
+        for box, grid_n in (((-5.0, 5.0), 101), ((-3.0, 4.0), 257)):
+            expected = _region_labels(net, net.output_node, _lattice(box, grid_n))[1]
+            for row_block in (1, 16, 128, grid_n + 43):
+                got = count_regions_2d(net, box=box, grid_n=grid_n, row_block=row_block)
+                assert got == expected, (box, grid_n, row_block)
+
+
+def test_count_regions_2d_labels_every_point_through_transforms():
+    # relu(tanh(x0 - 2) - tanh(x0 + 2) + 1) is active only near both ends of
+    # the x0 range: one code on two pieces, whose corners all agree
+    squash = TransformAffine(TransformSpec("tanh"), np.array([[1.0, 0.0], [1.0, 0.0]]), [-2.0, 2.0])
+    gap = ActivationAffine(relu_spec(), np.array([[1.0, -1.0]]), np.array([1.0]))
+    net = series(series(identity_dag(2), squash), gap)
+    assert count_regions_2d(net, grid_n=41, row_block=40) == 2
+
+
+def test_count_regions_2d_smallest_grids():
+    assert count_regions_2d(relu_layer(2), grid_n=1) == 1
+    assert count_regions_2d(relu_layer(2), grid_n=2) == 4
+    assert count_regions_2d(relu_layer(2), grid_n=2, row_block=1) == 4
+
+
 def test_count_regions_2d_requires_2d():
     with pytest.raises(ValueError):
         count_regions_2d(relu_layer(3))
+
+
+@pytest.mark.parametrize("name", ["grid_n", "row_block"])
+@pytest.mark.parametrize("value", [0, -3])
+def test_count_regions_2d_rejects_empty_grid_arguments(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be at least 1, got {value}"):
+        count_regions_2d(relu_layer(2), **{name: value})
+
+
+@pytest.mark.parametrize("bad", [99, -1])
+def test_unknown_node_ids_are_rejected(bad):
+    net = relu_layer(2)
+    xs = np.array([[1.0, -1.0], [-2.0, 3.0]])
+    calls = [
+        lambda: region_code(net, bad, xs[0]),
+        lambda: affine_piece(net, bad, xs[0]),
+        lambda: partition_stats(net, bad, xs),
+        lambda: check_refinement(net, bad, 0, xs),
+        lambda: count_regions_2d(net, grid_n=5, node_id=bad),
+        lambda: computable_subgraph(net, bad),
+    ]
+    message = f"node {bad} does not exist; node ids run from 0 to 1"
+    for call in calls:
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 def test_fusion_partition_bound():
