@@ -123,6 +123,24 @@ def _exact_cap(n_samples: int, pair_budget: int) -> Optional[int]:
     return 20_000_000
 
 
+def _fusion_inputs(cfg: ExperimentConfig) -> tuple[list[tuple[np.ndarray, ...]], np.ndarray]:
+    """Seeded standard-normal (W_top, b_top, W_bottom, b_bottom) per layer and
+    standard-normal sample rows, the inputs of both fusion experiments."""
+    wseq, sseq = np.random.SeedSequence(cfg.seed).spawn(2)
+    wrng = np.random.default_rng(wseq)
+    d = cfg.dims
+    layer_weights = [
+        (
+            wrng.standard_normal((d, d)),
+            wrng.standard_normal(d),
+            wrng.standard_normal((d, d)),
+            wrng.standard_normal(d),
+        )
+        for _ in range(cfg.layer_count)
+    ]
+    return layer_weights, np.random.default_rng(sseq).standard_normal((cfg.sample_count, d))
+
+
 @dataclass
 class FusionStackResult:
     dag: Dag
@@ -137,21 +155,8 @@ def run_fusion_stack(cfg: ExperimentConfig) -> FusionStackResult:
     rows.  Channels are probed at the top, bottom, and fused node of every
     layer.
     """
-    seeds = np.random.SeedSequence(cfg.seed).spawn(2)
-    wrng = np.random.default_rng(seeds[0])
-    srng = np.random.default_rng(seeds[1])
-    d = cfg.dims
-    layer_weights = [
-        (
-            wrng.standard_normal((d, d)),
-            wrng.standard_normal(d),
-            wrng.standard_normal((d, d)),
-            wrng.standard_normal(d),
-        )
-        for _ in range(cfg.layer_count)
-    ]
+    layer_weights, samples = _fusion_inputs(cfg)
     dag = build_fusion_stack(layer_weights, mode="probe")
-    samples = srng.standard_normal((cfg.sample_count, d))
     _, trace = forward_batch(dag, samples)
     cap = _exact_cap(cfg.sample_count, cfg.pair_budget)
 
@@ -186,21 +191,8 @@ def run_stability_gain(cfg: ExperimentConfig) -> StabilityGainResult:
     channel norms, the quantity the certificate constrains.  The rescaled
     run scales weights to bring Frobenius-norm level sums within budget.
     """
-    seeds = np.random.SeedSequence(cfg.seed).spawn(2)
-    wrng = np.random.default_rng(seeds[0])
-    srng = np.random.default_rng(seeds[1])
-    d = cfg.dims
-    layer_weights = [
-        (
-            wrng.standard_normal((d, d)),
-            wrng.standard_normal(d),
-            wrng.standard_normal((d, d)),
-            wrng.standard_normal(d),
-        )
-        for _ in range(cfg.layer_count)
-    ]
+    layer_weights, samples = _fusion_inputs(cfg)
     dag = build_fusion_stack(layer_weights, mode="compact")
-    samples = srng.standard_normal((cfg.sample_count, d))
 
     report = certify(dag)
     gain = empirical_gain(dag, samples, pair_budget=cfg.pair_budget, seed=cfg.seed)

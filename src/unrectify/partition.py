@@ -24,6 +24,7 @@ from .basis import PoolSpec, cpwl_piece_ids, cpwl_slope_offset, pool_ids
 from .elements import activation_of, linear_part, pre_activation, transform_of
 from .graph import Arc, Dag, ancestors, forward, forward_batch
 from .parallel import parallel_map
+from .stability import _max_pair_ratios
 
 __all__ = [
     "RegionCode",
@@ -285,9 +286,16 @@ def max_pairwise_distance(
 ) -> tuple[float, bool]:
     """Largest pairwise Euclidean distance within a point set.
 
-    Exact (blockwise, without materializing the full distance matrix) when
-    the pair count fits the cap; above the cap a seeded uniform sample of
-    ``pair_cap`` pairs gives a lower estimate, flagged in the result.
+    Exact when the pair count fits the cap: the value equals the brute-force
+    maximum of ``np.linalg.norm(pts[j] - pts[i], axis=1)`` bit for bit.  A
+    blocked Gram screen of the points shifted by the first point,
+    c_i = p_i - p_0, bounds every squared distance to within
+    4(k + 8)·eps·(||c_i||^2 + ||c_j||^2) for k dimensions
+    (Higham's inner-product bound, twice over), and only the pairs whose
+    bound could reach the maximum are recomputed in that form.  This is the
+    gain sweep of ``stability._max_pair_ratios`` with denominator one.
+    Above the cap a seeded uniform sample of ``pair_cap`` pairs gives a
+    lower estimate, flagged in the result.
     """
     pts = np.asarray(points, dtype=float)
     g = len(pts)
@@ -295,22 +303,7 @@ def max_pairwise_distance(
         return 0.0, False
     pairs = g * (g - 1) // 2
     if pair_cap is None or pairs <= pair_cap:
-        # ||a||^2 + ||b||^2 - 2a.b cancels badly when the points sit far from
-        # the origin relative to their spread; centring first avoids it
-        centred = pts - pts.mean(axis=0)
-        sq = np.einsum("ij,ij->i", centred, centred)
-        best = 0.0
-        block = 2048
-        for i0 in range(0, g, block):
-            pi = centred[i0 : i0 + block]
-            sqi = sq[i0 : i0 + block]
-            for j0 in range(i0, g, block):
-                pj = centred[j0 : j0 + block]
-                d2 = sqi[:, None] + sq[j0 : j0 + block][None, :] - 2.0 * (pi @ pj.T)
-                m = float(d2.max())
-                if m > best:
-                    best = m
-        return float(np.sqrt(max(best, 0.0))), False
+        return float(_max_pair_ratios([pts])[0][0]), False
     rng = np.random.default_rng(seed)
     best = 0.0
     remaining = int(pair_cap)

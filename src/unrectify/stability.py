@@ -28,7 +28,6 @@ import numpy as np
 
 from .elements import BasisElement, linear_part
 from .graph import Arc, Dag, forward_batch, levels, uniform_bound_of
-from .parallel import parallel_map, worker_count
 
 __all__ = [
     "LevelSum",
@@ -47,6 +46,9 @@ __all__ = [
 ]
 
 SUM_TOLERANCE = 1e-12
+PAIR_BLOCK = 1 << 15  # Gram entries per row block of a pair sweep: 16 rows at n = 2,000
+DIRECT_ENTRIES = 1 << 13  # pair sweeps this small (pairs x row width) skip the screen
+_EPS = np.finfo(float).eps
 
 
 def svd_spectral_norm(w) -> float:
@@ -273,6 +275,121 @@ def _level_value_matrices(dag: Dag, xs: np.ndarray) -> list[np.ndarray]:
     return out
 
 
+def _screen(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Rows shifted by the first row, their squared norms, and the rounding
+    factor 4(k + 8)·eps for rows of dimension k (see ``_max_pair_ratios``).
+    Any shift keeps the bound; one near the points keeps it tight, and a
+    sample row costs no reduction."""
+    c = m - m[0]
+    return c, np.einsum("ij,ij->i", c, c), 4.0 * (m.shape[1] + 8) * _EPS
+
+
+def _gram_bound(screen, i0: int, i1: int, sign: float) -> np.ndarray:
+    """Bound on the squared distances between rows i0..i1-1 and rows i0+1..
+    of one screened matrix: s_i + s_j - 2 c_i.c_j moved by ``sign`` times
+    the rounding term, an upper bound for +1 and a lower bound for -1."""
+    c, sq, rel = screen
+    out = c[i0:i1] @ c[i0 + 1 :].T
+    out *= -2.0
+    out += (1.0 + sign * rel) * sq[i0:i1, None]
+    out += (1.0 + sign * rel) * sq[None, i0 + 1 :]
+    return out
+
+
+def _max_pair_ratios(
+    values: list[np.ndarray], xs: Optional[np.ndarray] = None, min_distance: float = 0.0
+) -> tuple[np.ndarray, int]:
+    """Per matrix v of ``values``, the maximum over pairs i < j of
+    ||v[j] - v[i]|| / ||xs[j] - xs[i]||, skipping pairs whose denominator is
+    below ``min_distance``, and the number of pairs kept.  Without ``xs``
+    the denominator is one and every pair is kept.
+
+    The result equals brute force bit for bit: every ratio that can reach
+    the result is computed as ``np.linalg.norm(v[j] - v[i], axis=1)`` over
+    gathered rows, divided by the same form on ``xs``.  A Gram screen picks
+    those pairs.  The upper triangle is swept in row blocks of about
+    ``PAIR_BLOCK`` entries.  Per block and matrix, one matmul of the rows
+    shifted by the first row, c_i = v_i - v_0, gives the squared distances
+    d = s_i + s_j - 2 c_i.c_j with s_i = ||c_i||^2.  For rows of dimension
+    k each inner product rounds by at most gamma_k·||c_i||·||c_j|| (Higham,
+    gamma_k = k·u / (1 - k·u), u = eps / 2), so d is within
+    (k + 2)·eps·(s_i + s_j) of ||c_i - c_j||^2.  Rounding the shift moves
+    that by at most 2·eps·(s_i + s_j), and the exact form's own rounding is
+    below (k + 4)·eps·(s_i + s_j).  The margin 4(k + 8)·eps·(s_i + s_j)
+    covers the three twice over, so d plus and minus it bound the squared
+    norm the exact form computes.  Per block, the screened best pair of
+    each matrix is measured exactly and raises a running maximum; then
+    every pair whose upper bound can reach that maximum is measured exactly,
+    which includes every pair whose denominator bound reaches zero.  Pairs
+    surely at least ``min_distance`` apart are counted from the bound, the
+    ambiguous ones are measured.  Inputs under ``DIRECT_ENTRIES`` (pairs
+    times row width) are measured whole, which costs less than screening.
+    """
+    n = len(values[0])
+
+    def exact(v, i, j):
+        """Largest ratio over the pairs (i, j) in the brute-force form, and
+        the number of pairs kept; gathered in chunks of bounded size."""
+        top, count = 0.0, 0
+        step = max(1, PAIR_BLOCK // v.shape[1])
+        for s in range(0, len(i), step):
+            a, b = i[s : s + step], j[s : s + step]
+            ratio = np.linalg.norm(v[b] - v[a], axis=1)
+            if xs is not None:
+                nx = np.linalg.norm(xs[b] - xs[a], axis=1)
+                keep = nx >= min_distance
+                ratio = ratio[keep] / nx[keep]
+            top = max(top, float(ratio.max(initial=0.0)))
+            count += len(ratio)
+        return top, count
+
+    width = sum(v.shape[1] for v in values) + (0 if xs is None else xs.shape[1])
+    if n * (n - 1) // 2 * width <= DIRECT_ENTRIES:
+        i, j = np.nonzero(np.arange(n)[:, None] < np.arange(n))
+        found = [exact(v, i, j) for v in values]
+        return np.array([top for top, _ in found]), found[0][1]
+
+    screens = [_screen(v) for v in values]
+    x_screen = None if xs is None else _screen(xs)
+    best = np.zeros(len(values))
+    md2 = max(min_distance, 0.0) ** 2
+    used = 0
+    step = max(1, PAIR_BLOCK // n)
+    for i0 in range(0, n - 1, step):
+        i1 = min(i0 + step, n - 1)
+        if xs is None:
+            # below the diagonal, entry (r, col) repeats a pair of this block
+            # reversed, which has the same norm, and the diagonal is zero
+            kept, inv, floor = True, 1.0, 1.0 - 4.0 * _EPS
+        else:
+            # entry (r, col) is the pair (i0 + r, i0 + 1 + col); j > i keeps col >= r
+            tri = np.arange(i1 - i0)[:, None] <= np.arange(n - i0 - 1)
+            lo = _gram_bound(x_screen, i0, i1, -1.0)
+            hi = _gram_bound(x_screen, i0, i1, +1.0)
+            sure = tri & (lo > md2 * (1.0 + 4.0 * _EPS))
+            kept = tri & (hi >= md2 * (1.0 - 4.0 * _EPS))
+            unsure = kept & ~sure
+            if unsure.any():
+                r, col = np.nonzero(unsure)
+                used += exact(xs, i0 + r, i0 + 1 + col)[1]
+            used += int(sure.sum())
+            # lower bound on the squared denominator, less the comparison's rounding
+            floor = np.maximum(lo, 0.0) * (1.0 - 4.0 * _EPS)
+            inv = np.divide(1.0, lo, out=np.zeros_like(lo), where=sure)
+        for lev, (v, screen) in enumerate(zip(values, screens)):
+            hi_v = _gram_bound(screen, i0, i1, +1.0)
+            score = hi_v * inv  # bounds the squared ratio of every sure pair
+            k = int(np.argmax(score))
+            if score.flat[k] > best[lev] ** 2:
+                r, col = divmod(k, score.shape[1])
+                best[lev] = max(best[lev], exact(v, [i0 + r], [i0 + 1 + col])[0])
+            reach = (hi_v >= best[lev] ** 2 * floor) & kept
+            if reach.any():
+                r, col = np.nonzero(reach)
+                best[lev] = max(best[lev], exact(v, i0 + r, i0 + 1 + col)[0])
+    return best, used if xs is not None else n * (n - 1) // 2
+
+
 def empirical_gain(
     dag: Dag,
     samples,
@@ -286,6 +403,15 @@ def empirical_gain(
     ``pair_budget`` pairs.  Pairs closer than ``min_distance`` are skipped.
     Level n stacks the values of every level-n node; level 0 is the input,
     so its gain is exactly one.
+
+    The all-pairs maximum and pair count equal the brute-force loop over
+    rows bit for bit.  A blocked Gram screen of the rows shifted by the
+    first row, c_i = x_i - x_0, bounds every squared distance: for rows of
+    dimension k, an entry lies within
+    4(k + 8)·eps·(||c_i||^2 + ||c_j||^2) of the squared norm that
+    ``np.linalg.norm`` computes (Higham's inner-product bound, twice over;
+    see ``_max_pair_ratios``).  Only the pairs whose bounds could reach the
+    maximum, or fall near ``min_distance``, are recomputed in that form.
     """
     xs = np.asarray(samples, dtype=float)
     if xs.ndim != 2 or len(xs) < 2:
@@ -302,29 +428,7 @@ def empirical_gain(
     subsampled = total_pairs > pair_budget
     used = 0
     if not subsampled:
-        def sweep(rows):
-            # local maxima per level; merged below with an order-free max
-            local = np.zeros(top + 1)
-            count = 0
-            for i in rows:
-                dx = xs[i + 1 :] - xs[i]
-                nx = np.linalg.norm(dx, axis=1)
-                keep = nx >= min_distance
-                if not keep.any():
-                    continue
-                count += int(keep.sum())
-                for lev in range(1, top + 1):
-                    dv = values[lev][i + 1 :] - values[lev][i]
-                    ratio = np.linalg.norm(dv[keep], axis=1) / nx[keep]
-                    local[lev] = max(local[lev], float(ratio.max()))
-            return local, count
-
-        chunk = max(16, (n - 1) // (4 * worker_count()) + 1)
-        row_chunks = [range(i, min(i + chunk, n - 1)) for i in range(0, n - 1, chunk)]
-        for local, count in parallel_map(sweep, row_chunks):
-            used += count
-            np.maximum(gains, local, out=gains)
-        gains[0] = 1.0
+        gains[1:], used = _max_pair_ratios(values[1:], xs, min_distance)
     else:
         rng = np.random.default_rng(seed)
         remaining = int(pair_budget)

@@ -17,6 +17,7 @@ from unrectify import (
     identity_dag,
     relu_spec,
     series,
+    stability,
 )
 
 
@@ -112,3 +113,43 @@ def write_idx_pair(dirpath, images: np.ndarray, labels) -> tuple[str, str]:
         fh.write(struct.pack(">II", 0x00000801, n))
         fh.write(bytes(int(v) for v in labels))
     return img_path, lbl_path
+
+
+def pair_sweep_sets() -> dict[str, tuple[np.ndarray, float]]:
+    """Named (points, min_distance) sets for the exact pair sweeps: the
+    smallest set, a count that leaves a short last row block, duplicated
+    rows, a lattice with many pairs exactly at ``min_distance``, a
+    1e-6-spread cluster around a far 784-dimensional centre, and a spread
+    set with a 1e-8-spread cloud around one of its points."""
+    rng = np.random.default_rng(31)
+    base = rng.standard_normal((150, 6))
+    spread = rng.standard_normal((40, 6))
+    centre = 50.0 * rng.standard_normal(784)
+    return {
+        "two": (rng.standard_normal((2, 6)), 1e-9),
+        "uneven_blocks": (rng.standard_normal((777, 6)), 1e-9),
+        "duplicates": (np.vstack([base, base[:40], base[:3]]), 1e-9),
+        # coordinates on a 0.25 grid: differences, squares and the square
+        # root of 0.25 are exact, so many pairs sit at exactly 0.5
+        "at_min_distance": (0.25 * rng.integers(-2, 3, size=(200, 4)), 0.5),
+        "far_cluster": (centre + 1e-6 * rng.standard_normal((60, 784)), 1e-9),
+        # pairs 1e-8 apart carry the local slopes, which beat the secants of
+        # the spread points; the cloud sits away from the first row, which
+        # the screen shifts to the origin, so it is below the screen's
+        # resolution there
+        "near_pairs": (np.vstack([spread, spread[1] + 1e-8 * rng.standard_normal((60, 6))]), 1e-9),
+    }
+
+
+# the pair sweep's row-block and direct-path constants: as shipped, with
+# every input screened, and with one-row blocks
+PAIR_SWEEP_MODES = (
+    (stability.PAIR_BLOCK, stability.DIRECT_ENTRIES),
+    (stability.PAIR_BLOCK, 0),
+    (50, 0),
+)
+
+
+def set_pair_sweep_mode(monkeypatch, block: int, direct: int) -> None:
+    monkeypatch.setattr(stability, "PAIR_BLOCK", block)
+    monkeypatch.setattr(stability, "DIRECT_ENTRIES", direct)

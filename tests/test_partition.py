@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_valid_dag
+from conftest import PAIR_SWEEP_MODES, pair_sweep_sets, random_valid_dag, set_pair_sweep_mode
 from unrectify import (
     Activation,
     ActivationAffine,
@@ -254,6 +254,29 @@ def test_max_pairwise_distance_tight_cluster_far_from_origin():
     brute = max(np.linalg.norm(p - q) for p in pts for q in pts)
     assert not flagged
     assert abs(got - brute) <= 1e-9 * brute
+
+
+@pytest.mark.parametrize("points", sorted(pair_sweep_sets()))
+def test_max_pairwise_distance_equals_brute_force(monkeypatch, points):
+    pts, _ = pair_sweep_sets()[points]
+    i, j = np.triu_indices(len(pts), 1)
+    brute = float(np.linalg.norm(pts[j] - pts[i], axis=1).max())
+    for mode in PAIR_SWEEP_MODES:
+        set_pair_sweep_mode(monkeypatch, *mode)
+        assert max_pairwise_distance(pts, pair_cap=None) == (brute, False), mode
+
+
+def test_max_pairwise_distance_near_ties_equal_brute_force():
+    # scaled basis points are all about sqrt(2) apart, within 1e-13 of each
+    # other, so the screen's rounding can rank a runner-up first; the
+    # recheck must still find the largest
+    rng = np.random.default_rng(24)
+    for _ in range(200):
+        k = int(rng.integers(20, 60))
+        pts = np.diag(1.0 + 1e-13 * rng.random(k)) + 1e-3 * rng.standard_normal(k)
+        i, j = np.triu_indices(k, 1)
+        brute = float(np.linalg.norm(pts[j] - pts[i], axis=1).max())
+        assert max_pairwise_distance(pts, pair_cap=None) == (brute, False)
 
 
 def test_monotone_stats_along_fusion_layers():

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from conftest import PAIR_SWEEP_MODES, pair_sweep_sets, set_pair_sweep_mode
 from unrectify import (
     Activation,
     ActivationAffine,
@@ -23,7 +26,7 @@ from unrectify import (
     svd_spectral_norm,
 )
 from unrectify.elements import linear_part
-from unrectify.stability import SUM_TOLERANCE
+from unrectify.stability import SUM_TOLERANCE, _level_value_matrices
 
 
 def scaled_matrix(rng, shape, norm):
@@ -395,6 +398,95 @@ def test_empirical_gain_deterministic_across_thread_counts(monkeypatch):
     multi = empirical_gain(net, xs)
     assert single.gains == multi.gains
     assert single.pairs_used == multi.pairs_used
+
+
+def loop_gain(dag, xs, min_distance=1e-9):
+    """The per-row all-pairs sweep, the oracle the blocked Gram screen must
+    equal bit for bit: gains per level and the number of pairs kept."""
+    values = _level_value_matrices(dag, xs)
+    gains = [1.0] + [0.0] * (len(values) - 1)
+    used = 0
+    for i in range(len(xs) - 1):
+        nx = np.linalg.norm(xs[i + 1 :] - xs[i], axis=1)
+        keep = nx >= min_distance
+        if not keep.any():
+            continue
+        used += int(keep.sum())
+        for lev in range(1, len(values)):
+            dv = values[lev][i + 1 :] - values[lev][i]
+            ratio = np.linalg.norm(dv[keep], axis=1) / nx[keep]
+            gains[lev] = max(gains[lev], float(ratio.max()))
+    return tuple(gains), used
+
+
+def sweep_networks(dim):
+    """Seeded networks over ``dim`` inputs: a rectifier series stack, and for
+    narrow inputs a compact fusion stack, raw and Frobenius-rescaled."""
+    rng = np.random.default_rng(32 + dim)
+    width = min(dim, 16)
+    mats = [rng.standard_normal((width, dim)) / np.sqrt(dim)]
+    mats += [rng.standard_normal((width, width)) for _ in range(2)]
+    nets = {"series": build_series_stack(mats, [rng.standard_normal(width) for _ in mats])}
+    if dim <= 16:
+        layers = [
+            (
+                rng.standard_normal((dim, dim)),
+                rng.standard_normal(dim),
+                rng.standard_normal((dim, dim)),
+                rng.standard_normal(dim),
+            )
+            for _ in range(3)
+        ]
+        nets["fusion"] = build_fusion_stack(layers, mode="compact")
+        nets["fusion_rescaled"] = rescale_to_stability(nets["fusion"], use_frobenius=True)
+    return nets
+
+
+SWEEP_SETS = pair_sweep_sets()
+SWEEP_CASES = [
+    (points, net)
+    for points, (xs, _) in SWEEP_SETS.items()
+    for net in sweep_networks(xs.shape[1])
+]
+
+
+@pytest.mark.parametrize("points,net", SWEEP_CASES)
+def test_empirical_gain_equals_per_row_loop(monkeypatch, points, net):
+    xs, min_distance = SWEEP_SETS[points]
+    dag = sweep_networks(xs.shape[1])[net]
+    gains, used = loop_gain(dag, xs, min_distance)
+    for mode in PAIR_SWEEP_MODES:
+        set_pair_sweep_mode(monkeypatch, *mode)
+        curve = empirical_gain(dag, xs, min_distance=min_distance)
+        assert not curve.pairs_subsampled
+        assert curve.gains == gains, mode
+        assert curve.pairs_used == used, mode
+
+
+def test_empirical_gain_sweep_memory_stays_flat():
+    # an n x n float matrix at n = 4,000 takes 128 MB; row blocks of
+    # PAIR_BLOCK entries keep the whole call, forward pass included, near 10 MB
+    rng = np.random.default_rng(33)
+    layers = [
+        (
+            rng.standard_normal((20, 20)),
+            rng.standard_normal(20),
+            rng.standard_normal((20, 20)),
+            rng.standard_normal(20),
+        )
+        for _ in range(5)
+    ]
+    dag = build_fusion_stack(layers, mode="compact")
+    xs = rng.standard_normal((4000, 20))
+    tracemalloc.start()
+    try:
+        curve = empirical_gain(dag, xs, pair_budget=8_000_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not curve.pairs_subsampled
+    assert curve.pairs_used == 4000 * 3999 // 2
+    assert peak < 16e6
 
 
 def test_resnet_link_condition_matches_oracle():
