@@ -1,11 +1,11 @@
 """Piecewise-linear analysis of DAG-structured networks.
 
-Networks are immutable directed acyclic graphs whose arcs carry identity,
-linear, affine, activation, and transform elements.  Replacing each
-activation by its active linear pieces turns the network into one affine
-map per input-space region; this package builds such graphs, tracks how the
-region partition refines from node to node, and certifies Lipschitz
-stability from per-level weight-norm sums.
+Networks are immutable directed acyclic graphs whose arcs carry elements:
+an optional affine map, then at most one activation or transform.
+Replacing each activation by its active linear pieces turns the network into
+one affine map per input-space region; this package builds such graphs,
+tracks how the region partition refines from node to node, and certifies
+Lipschitz stability from per-level weight-norm sums.
 """
 
 from .basis import (
@@ -37,6 +37,7 @@ from .builders import (
 )
 from .elements import (
     Activation,
+    ArcElement,
     ActivationAffine,
     Affine,
     Identity,
@@ -64,6 +65,7 @@ from .graph import (
     validate,
 )
 from .idx import IdxDataset, IdxFormatError, load_idx
+from . import parallel  # unused by the library; bench/ reads it as unrectify.parallel
 from .netio import NetworkFormatError, load_network, save_network
 from .partition import (
     AffinePiece,

@@ -1,16 +1,19 @@
-"""Arc elements: the seven payload kinds a graph arc can carry.
+"""Arc elements: the one payload type a graph arc carries.
 
-Every arc in a graph applies exactly one of: identity, linear map, affine
-map, activation, activation composed with an affine map, transform, or
-transform composed with an affine map.  Elements are immutable, know their
-input/output dimensions, and apply to batches (leading axes are preserved,
-the last axis is the vector dimension).
+An ``ArcElement`` applies an optional affine map x -> W x (+ b), then at
+most one nonlinearity: a CPWL activation or block pool (``act``) or a
+transform (``spec``).  A weightless element states its dimension in
+``dim``.  The seven kinds of the network format (identity, linear, affine,
+activation, activation_affine, transform, transform_affine) are derived
+from which parts are present, and the functions named after them build
+elements.  Elements are immutable and apply to batches (leading axes are
+preserved, the last axis is the vector dimension).
 """
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import ClassVar, Iterable, Optional, Union
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -25,6 +28,7 @@ from .basis import (
 )
 
 __all__ = [
+    "ArcElement",
     "Identity",
     "Linear",
     "Affine",
@@ -32,11 +36,8 @@ __all__ = [
     "ActivationAffine",
     "Transform",
     "TransformAffine",
-    "BasisElement",
     "linear_part",
     "activation_of",
-    "transform_of",
-    "pre_activation",
     "element_bound",
     "uniform_bound",
 ]
@@ -53,10 +54,7 @@ def _matrix(value) -> np.ndarray:
 
 
 def _vector(value, rows: int) -> np.ndarray:
-    if value is None:
-        arr = np.zeros(rows)
-    else:
-        arr = np.array(value, dtype=float).reshape(-1)
+    arr = np.array(value, dtype=float).reshape(-1)
     if arr.shape != (rows,):
         raise ValueError(f"bias must have length {rows}, got {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -65,233 +63,140 @@ def _vector(value, rows: int) -> np.ndarray:
     return arr
 
 
-def _act_out_dim(act: ActivationLike, in_dim: int) -> int:
-    if isinstance(act, PoolSpec):
-        if in_dim % act.block:
+@dataclass(frozen=True, eq=False)
+class ArcElement:
+    """Optional affine map (bias None for a linear one), then at most one of
+    an activation or a transform; ``dim`` is the size of a weightless one."""
+
+    weight: Optional[np.ndarray] = None
+    bias: Optional[np.ndarray] = None
+    act: Optional[ActivationLike] = None
+    spec: Optional[TransformSpec] = None
+    dim: Optional[int] = None
+
+    def __post_init__(self):
+        if self.act is not None and self.spec is not None:
+            raise ValueError("an element applies an activation or a transform, not both")
+        if self.weight is None:
+            if self.bias is not None:
+                raise ValueError("a bias needs a weight")
+            if self.dim is None or self.dim < 1:
+                raise ValueError(f"{self.kind} dimension must be positive")
+        elif self.dim is not None:
+            raise ValueError("a weighted element takes its dimensions from the weight")
+        else:
+            object.__setattr__(self, "weight", _matrix(self.weight))
+            if self.bias is not None:
+                object.__setattr__(self, "bias", _vector(self.bias, self.weight.shape[0]))
+        rows = self._rows
+        if isinstance(self.act, PoolSpec) and rows % self.act.block:
             raise ValueError(
-                f"activation input dim {in_dim} is not a multiple of block {act.block}"
+                f"activation input dim {rows} is not a multiple of block {self.act.block}"
             )
-        return in_dim // act.block
-    return in_dim
 
+    @property
+    def kind(self) -> str:
+        if self.act is not None:
+            nonlinear = "activation"
+        elif self.spec is not None:
+            nonlinear = "transform"
+        else:
+            return "identity" if self.weight is None else "linear" if self.bias is None else "affine"
+        return nonlinear if self.weight is None else nonlinear + "_affine"
 
-def _apply_act(act: ActivationLike, values: np.ndarray) -> np.ndarray:
-    if isinstance(act, PoolSpec):
-        return pool_values(act, values)
-    return cpwl_eval(act, values)
-
-
-@dataclass(frozen=True, eq=False)
-class Identity:
-    dim: int
-
-    kind: ClassVar[str] = "identity"
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("identity dimension must be positive")
+    @property
+    def _rows(self) -> int:
+        """Dimension the nonlinearity sees."""
+        return self.dim if self.weight is None else self.weight.shape[0]
 
     @property
     def in_dim(self) -> int:
-        return self.dim
+        return self.dim if self.weight is None else self.weight.shape[1]
 
     @property
     def out_dim(self) -> int:
-        return self.dim
+        if isinstance(self.act, PoolSpec):
+            return self._rows // self.act.block
+        return self._rows
+
+    def pre_activation(self, values: np.ndarray) -> np.ndarray:
+        """Input seen by the element's nonlinearity (affine part applied)."""
+        if self.weight is None:
+            return values
+        out = values @ self.weight.T
+        return out if self.bias is None else out + self.bias
 
     def apply(self, values: np.ndarray) -> np.ndarray:
-        return values
+        pre = self.pre_activation(values)
+        if isinstance(self.act, PoolSpec):
+            return pool_values(self.act, pre)
+        if self.act is not None:
+            return cpwl_eval(self.act, pre)
+        if self.spec is not None:
+            return transform_eval(self.spec, pre)
+        return pre
 
 
-@dataclass(frozen=True, eq=False)
-class Linear:
-    weight: np.ndarray
-
-    kind: ClassVar[str] = "linear"
-
-    def __post_init__(self):
-        object.__setattr__(self, "weight", _matrix(self.weight))
-
-    @property
-    def in_dim(self) -> int:
-        return self.weight.shape[1]
-
-    @property
-    def out_dim(self) -> int:
-        return self.weight.shape[0]
-
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        return values @ self.weight.T
+def _zero_bias(weight) -> np.ndarray:
+    return np.zeros(np.shape(weight)[:1])
 
 
-@dataclass(frozen=True, eq=False)
-class Affine:
-    weight: np.ndarray
-    bias: Optional[np.ndarray] = None
-
-    kind: ClassVar[str] = "affine"
-
-    def __post_init__(self):
-        object.__setattr__(self, "weight", _matrix(self.weight))
-        object.__setattr__(self, "bias", _vector(self.bias, self.weight.shape[0]))
-
-    @property
-    def in_dim(self) -> int:
-        return self.weight.shape[1]
-
-    @property
-    def out_dim(self) -> int:
-        return self.weight.shape[0]
-
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        return values @ self.weight.T + self.bias
+def Identity(dim: int) -> ArcElement:
+    return ArcElement(dim=dim)
 
 
-@dataclass(frozen=True, eq=False)
-class Activation:
-    act: ActivationLike
-    dim: int
-
-    kind: ClassVar[str] = "activation"
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("activation dimension must be positive")
-        _act_out_dim(self.act, self.dim)
-
-    @property
-    def in_dim(self) -> int:
-        return self.dim
-
-    @property
-    def out_dim(self) -> int:
-        return _act_out_dim(self.act, self.dim)
-
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        return _apply_act(self.act, values)
+def Linear(weight) -> ArcElement:
+    return ArcElement(weight)
 
 
-@dataclass(frozen=True, eq=False)
-class ActivationAffine:
+def Affine(weight, bias=None) -> ArcElement:
+    return ArcElement(weight, _zero_bias(weight) if bias is None else bias)
+
+
+def Activation(act: ActivationLike, dim: int) -> ArcElement:
+    return ArcElement(act=act, dim=dim)
+
+
+def ActivationAffine(act: ActivationLike, weight, bias=None) -> ArcElement:
     """Activation applied to the output of an affine map."""
-
-    act: ActivationLike
-    weight: np.ndarray
-    bias: Optional[np.ndarray] = None
-
-    kind: ClassVar[str] = "activation_affine"
-
-    def __post_init__(self):
-        object.__setattr__(self, "weight", _matrix(self.weight))
-        object.__setattr__(self, "bias", _vector(self.bias, self.weight.shape[0]))
-        _act_out_dim(self.act, self.weight.shape[0])
-
-    @property
-    def in_dim(self) -> int:
-        return self.weight.shape[1]
-
-    @property
-    def out_dim(self) -> int:
-        return _act_out_dim(self.act, self.weight.shape[0])
-
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        return _apply_act(self.act, values @ self.weight.T + self.bias)
+    return ArcElement(weight, _zero_bias(weight) if bias is None else bias, act=act)
 
 
-@dataclass(frozen=True, eq=False)
-class Transform:
-    spec: TransformSpec
-    dim: int
-
-    kind: ClassVar[str] = "transform"
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("transform dimension must be positive")
-
-    @property
-    def in_dim(self) -> int:
-        return self.dim
-
-    @property
-    def out_dim(self) -> int:
-        return self.dim
-
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        return transform_eval(self.spec, values)
+def Transform(spec: TransformSpec, dim: int) -> ArcElement:
+    return ArcElement(spec=spec, dim=dim)
 
 
-@dataclass(frozen=True, eq=False)
-class TransformAffine:
+def TransformAffine(spec: TransformSpec, weight, bias=None) -> ArcElement:
     """Transform applied to the output of an affine map."""
-
-    spec: TransformSpec
-    weight: np.ndarray
-    bias: Optional[np.ndarray] = None
-
-    kind: ClassVar[str] = "transform_affine"
-
-    def __post_init__(self):
-        object.__setattr__(self, "weight", _matrix(self.weight))
-        object.__setattr__(self, "bias", _vector(self.bias, self.weight.shape[0]))
-
-    @property
-    def in_dim(self) -> int:
-        return self.weight.shape[1]
-
-    @property
-    def out_dim(self) -> int:
-        return self.weight.shape[0]
-
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        return transform_eval(self.spec, values @ self.weight.T + self.bias)
+    return ArcElement(weight, _zero_bias(weight) if bias is None else bias, spec=spec)
 
 
-BasisElement = Union[
-    Identity, Linear, Affine, Activation, ActivationAffine, Transform, TransformAffine
-]
-
-
-def linear_part(elem: BasisElement) -> Optional[np.ndarray]:
+def linear_part(elem: ArcElement) -> Optional[np.ndarray]:
     """Weight matrix of the element's affine part, or None when there is none."""
-    return getattr(elem, "weight", None)
+    return elem.weight
 
 
-def activation_of(elem: BasisElement) -> Optional[ActivationLike]:
-    return getattr(elem, "act", None)
+def activation_of(elem: ArcElement) -> Optional[ActivationLike]:
+    return elem.act
 
 
-def transform_of(elem: BasisElement) -> Optional[TransformSpec]:
-    return getattr(elem, "spec", None)
-
-
-def pre_activation(elem: BasisElement, values: np.ndarray) -> np.ndarray:
-    """Input seen by the element's nonlinearity (affine part applied)."""
-    w = linear_part(elem)
-    if w is None:
-        return values
-    return values @ w.T + getattr(elem, "bias", 0.0)
-
-
-def element_bound(elem: BasisElement) -> Optional[float]:
+def element_bound(elem: ArcElement) -> Optional[float]:
     """Gain bound contributed by the element's nonlinearity, if any.
 
     CPWL activations bound the linear-factor magnitude; block max pools are
     selections with gain 1; transforms carry their Lipschitz bound.  Purely
     affine elements contribute nothing here.
     """
-    act = activation_of(elem)
-    if act is not None:
-        if isinstance(act, PoolSpec):
-            return 1.0
-        return activation_bound(act)
-    spec = transform_of(elem)
-    if spec is not None:
-        return spec.lipschitz_bound
+    if isinstance(elem.act, PoolSpec):
+        return 1.0
+    if elem.act is not None:
+        return activation_bound(elem.act)
+    if elem.spec is not None:
+        return elem.spec.lipschitz_bound
     return None
 
 
-def uniform_bound(elems: Iterable[BasisElement]) -> float:
+def uniform_bound(elems: Iterable[ArcElement]) -> float:
     """Max nonlinearity gain bound over a collection of elements.
 
     With no nonlinear element present the bound defaults to 1 (with a

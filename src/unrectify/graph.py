@@ -4,7 +4,9 @@ A graph has one input node (always id 0), arcs carrying elements, and one
 output node.  Nodes coordinate the arcs: a relay node forwards its single
 incoming arc value, a concat node stacks incoming arc values in a fixed
 order, an add node sums them, and a duplicate node is a relay whose value
-fans out over several outgoing arcs.  Graphs are immutable once built; the
+fans out over several outgoing arcs.  Values, and anything else carried
+node by node, are computed by one walk, ``propagate``, over the ancestor
+closure of a node in topological order.  Graphs are immutable once built; the
 combinators ``series``, ``concatenate``, and ``duplicate`` return new graphs
 and never mutate their arguments.
 """
@@ -40,6 +42,7 @@ __all__ = [
     "concatenate",
     "duplicate",
     "computable_subgraph",
+    "propagate",
     "forward",
     "forward_batch",
     "uniform_bound_of",
@@ -73,7 +76,7 @@ class Arc:
     id: int
     src: int
     dst: int
-    elem: el.BasisElement
+    elem: el.ArcElement
     in_dim: int
     out_dim: int
 
@@ -139,6 +142,18 @@ class Dag:
         return order
 
     @cached_property
+    def _closures(self) -> dict[int, tuple[int, ...]]:
+        return {}
+
+    def closure(self, node_id: int) -> tuple[int, ...]:
+        """The node and its ancestors in topological order, the node last:
+        the nodes whose values fix the node's value."""
+        if node_id not in self._closures:
+            keep = ancestors(self, node_id) | {node_id}
+            self._closures[node_id] = tuple(n for n in self.topo_order if n in keep)
+        return self._closures[node_id]
+
+    @cached_property
     def node_dims(self) -> tuple[int, ...]:
         self.require_valid()
         return _node_dims(self)[0]
@@ -185,35 +200,35 @@ def _lex_topological_order(n_nodes: int, arcs: Sequence[Arc]) -> tuple[int, ...]
     return tuple(order)
 
 
+def _node_dim(role: str, in_dims: Sequence[int]) -> int:
+    """Dimension of a non-input node from its incoming arcs' output dims."""
+    if role == ROLE_CONCAT:
+        return sum(in_dims)
+    return in_dims[0] if in_dims else 0
+
+
 def _node_dims(dag: Dag) -> tuple[tuple[int, ...], list[str]]:
     """Node output dimensions plus any dimension faults found on the way."""
     problems: list[str] = []
     dims = [0] * len(dag.nodes)
-    arc_by_id = {arc.id: arc for arc in dag.arcs}
     for nid in dag.topo_order:
         node = dag.nodes[nid]
-        incoming = dag.in_arcs[nid]
         if node.role == ROLE_INPUT:
             dims[nid] = dag.input_dim
             continue
+        incoming = _ordered_in_arcs(dag, node)
         for arc in incoming:
             if arc.in_dim != dims[arc.src]:
                 problems.append(
                     f"arc {arc.id} ({arc.src}->{arc.dst}) declares input dim "
                     f"{arc.in_dim} but node {arc.src} produces {dims[arc.src]}"
                 )
-        if node.role in (ROLE_RELAY, ROLE_DUPLICATE):
-            dims[nid] = incoming[0].out_dim if incoming else 0
-        elif node.role == ROLE_CONCAT:
-            ordered = [arc_by_id[a] for a in node.concat_order if a in arc_by_id]
-            dims[nid] = sum(arc.out_dim for arc in ordered)
-        elif node.role == ROLE_ADD:
-            outs = {arc.out_dim for arc in incoming}
-            if len(outs) > 1:
-                problems.append(
-                    f"dimension fault at node {nid}: add inputs differ {sorted(outs)}"
-                )
-            dims[nid] = incoming[0].out_dim if incoming else 0
+        outs = [arc.out_dim for arc in incoming]
+        if node.role == ROLE_ADD and len(set(outs)) > 1:
+            problems.append(
+                f"dimension fault at node {nid}: add inputs differ {sorted(set(outs))}"
+            )
+        dims[nid] = _node_dim(node.role, outs)
     return tuple(dims), problems
 
 
@@ -335,54 +350,59 @@ def _ordered_in_arcs(dag: Dag, node: Node) -> tuple[Arc, ...]:
     return dag.in_arcs[node.id]
 
 
-def _evaluate(dag: Dag, values: np.ndarray) -> dict[int, np.ndarray]:
-    dag.require_valid()
-    trace: dict[int, np.ndarray] = {}
-    for nid in dag.topo_order:
+def propagate(dag: Dag, node_id: int, start, through_arc) -> dict:
+    """Values over the node's closure, by induction from the input's ``start``.
+
+    Each arc maps its source node's value by ``through_arc(arc, value)``;
+    values keep their features on the last axis.  A relay or duplicate node
+    takes its one arc value, a concat node stacks its arc values in concat
+    order and an add node sums them.  A non-finite node value raises an
+    error naming the arc that produced it.
+    """
+    values = {0: start}
+    for nid in dag.closure(node_id)[1:]:
         node = dag.nodes[nid]
-        if node.role == ROLE_INPUT:
-            trace[nid] = values
-            continue
         arcs = _ordered_in_arcs(dag, node)
-        parts = [arc.elem.apply(trace[arc.src]) for arc in arcs]
-        if node.role in (ROLE_RELAY, ROLE_DUPLICATE):
-            trace[nid] = parts[0]
-        elif node.role == ROLE_CONCAT:
-            trace[nid] = np.concatenate(parts, axis=-1)
-        else:  # add
-            total = parts[0]
+        parts = [through_arc(arc, values[arc.src]) for arc in arcs]
+        if node.role == ROLE_CONCAT:
+            value = np.concatenate(parts, axis=-1)
+        else:
+            value = parts[0]
             for p in parts[1:]:
-                total = total + p
-            trace[nid] = total
+                value = value + p
         # the node's sum of squares is non-finite whenever one of its entries
         # is (or when it overflows); only then are the arc outputs inspected
-        flat = trace[nid].ravel()
+        flat = value.ravel()
         if not math.isfinite(np.dot(flat, flat)):
             for arc, part in zip(arcs, parts):
                 if not np.isfinite(part).all():
                     raise ValueError(f"arc {arc.id} produced non-finite values")
-    return trace
+        values[nid] = value
+    return values
+
+
+def _evaluate(dag: Dag, xs, node_id: int, batch: bool) -> dict[int, np.ndarray]:
+    """Values of the node's closure on one input, or on a batch of row inputs."""
+    arr = np.asarray(xs, dtype=float)
+    if batch and (arr.ndim != 2 or arr.shape[1] != dag.input_dim):
+        raise ValueError(f"batch must have shape (n, {dag.input_dim}), got {arr.shape}")
+    if not batch and arr.shape != (dag.input_dim,):
+        raise ValueError(f"input must have shape ({dag.input_dim},), got {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("input entries must be finite")
+    dag.require_valid()
+    return propagate(dag, node_id, arr, lambda arc, value: arc.elem.apply(value))
 
 
 def forward(dag: Dag, x) -> tuple[np.ndarray, dict[int, np.ndarray]]:
     """Evaluate the graph on one input; returns (output, per-node trace)."""
-    arr = np.asarray(x, dtype=float)
-    if arr.shape != (dag.input_dim,):
-        raise ValueError(f"input must have shape ({dag.input_dim},), got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("input entries must be finite")
-    trace = _evaluate(dag, arr)
+    trace = _evaluate(dag, x, dag.output_node, batch=False)
     return trace[dag.output_node], trace
 
 
 def forward_batch(dag: Dag, xs) -> tuple[np.ndarray, dict[int, np.ndarray]]:
     """Evaluate the graph on a batch of row-vector inputs."""
-    arr = np.asarray(xs, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != dag.input_dim:
-        raise ValueError(f"batch must have shape (n, {dag.input_dim}), got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("input entries must be finite")
-    trace = _evaluate(dag, arr)
+    trace = _evaluate(dag, xs, dag.output_node, batch=True)
     return trace[dag.output_node], trace
 
 
@@ -400,45 +420,54 @@ class GraphBuilder:
         self.input_dim = input_dim
         self.nodes: list[tuple[int, str]] = [(0, ROLE_INPUT)]
         self.arcs: list[Arc] = []
-        self._dims: list[int] = [input_dim]
+        self._incoming: list[list[int]] = [[]]  # arc ids, in concat order
 
     def dim(self, node_id: int) -> int:
-        return self._dims[node_id]
+        role = self.nodes[node_id][1]
+        if role == ROLE_INPUT:
+            return self.input_dim
+        return _node_dim(role, [self.arcs[a].out_dim for a in self._incoming[node_id]])
 
     def add_node(self, role: str) -> int:
         nid = len(self.nodes)
         self.nodes.append((nid, role))
-        self._dims.append(0)
+        self._incoming.append([])
         return nid
 
-    def connect(self, src: int, dst: int, elem: el.BasisElement) -> int:
-        if self._dims[src] != elem.in_dim:
+    def connect(self, src: int, dst: int, elem: el.ArcElement) -> int:
+        if self.dim(src) != elem.in_dim:
             raise GraphConstructionError(
                 f"element input dimension {elem.in_dim} does not match node {src} "
-                f"dimension {self._dims[src]}"
+                f"dimension {self.dim(src)}"
             )
         aid = len(self.arcs)
         self.arcs.append(Arc(aid, src, dst, elem, elem.in_dim, elem.out_dim))
-        role = self.nodes[dst][1]
-        if role in (ROLE_RELAY, ROLE_DUPLICATE):
-            self._dims[dst] = elem.out_dim
-        elif role == ROLE_CONCAT:
-            self._dims[dst] += elem.out_dim
-        elif role == ROLE_ADD:
-            self._dims[dst] = elem.out_dim
+        self._incoming[dst].append(aid)
         return aid
 
-    def add_relay(self, src: int, elem: el.BasisElement, role: str = ROLE_RELAY) -> int:
+    def add_relay(self, src: int, elem: el.ArcElement, role: str = ROLE_RELAY) -> int:
         nid = self.add_node(role)
         self.connect(src, nid, elem)
         return nid
 
+    def _insert(self, g: Dag) -> dict[int, int]:
+        """Copy a valid graph over the builder's input node, arcs in their
+        order with ids shifted; returns the map from g's node ids."""
+        g.require_valid()
+        node_map = {0: 0}
+        for node in g.nodes[1:]:
+            node_map[node.id] = self.add_node(node.role)
+        shift = len(self.arcs)
+        for arc in g.arcs:
+            src, dst = node_map[arc.src], node_map[arc.dst]
+            self.arcs.append(Arc(shift + arc.id, src, dst, arc.elem, arc.in_dim, arc.out_dim))
+        for node in g.nodes[1:]:
+            self._incoming[node_map[node.id]] = [shift + a.id for a in _ordered_in_arcs(g, node)]
+        return node_map
+
     def finish(self, output_node: int, labels: Optional[Mapping] = None) -> Dag:
-        incoming: dict[int, list[int]] = {}
-        for arc in self.arcs:
-            incoming.setdefault(arc.dst, []).append(arc.id)
         nodes = tuple(
-            Node(nid, role, tuple(incoming.get(nid, [])) if role in (ROLE_CONCAT, ROLE_ADD) else ())
+            Node(nid, role, tuple(self._incoming[nid]) if role in (ROLE_CONCAT, ROLE_ADD) else ())
             for nid, role in self.nodes
         )
         dag = Dag(self.input_dim, nodes, tuple(self.arcs), output_node, dict(labels or {}))
@@ -448,15 +477,11 @@ class GraphBuilder:
 
 def _builder_from(dag: Dag) -> GraphBuilder:
     b = GraphBuilder(dag.input_dim)
-    for node in dag.nodes[1:]:
-        b.add_node(node.role)
-    dims, _ = _node_dims(dag)
-    b._dims = list(dims)
-    b.arcs = list(dag.arcs)
+    b._insert(dag)
     return b
 
 
-def series(g: Dag, elem: el.BasisElement) -> Dag:
+def series(g: Dag, elem: el.ArcElement) -> Dag:
     """Feed the graph's output through one more element."""
     g.require_valid()
     out_dim = g.node_dims[g.output_node]
@@ -477,21 +502,11 @@ def concatenate(gs: Sequence[Dag]) -> Dag:
     dims = {g.input_dim for g in gs}
     if len(dims) != 1:
         raise GraphConstructionError(f"channels consume different input spaces: {sorted(dims)}")
-    for g in gs:
-        g.require_valid()
-
     b = GraphBuilder(gs[0].input_dim)
-    outputs = []
-    for g in gs:
-        node_map = {0: 0}
-        for node in g.nodes[1:]:
-            node_map[node.id] = b.add_node(node.role)
-        for arc in g.arcs:
-            b.connect(node_map[arc.src], node_map[arc.dst], arc.elem)
-        outputs.append((node_map[g.output_node], g.node_dims[g.output_node]))
+    outputs = [b._insert(g)[g.output_node] for g in gs]
     cat = b.add_node(ROLE_CONCAT)
-    for out, dim in outputs:
-        b.connect(out, cat, el.Identity(dim))
+    for out in outputs:
+        b.connect(out, cat, el.Identity(b.dim(out)))
     return b.finish(cat)
 
 
@@ -533,7 +548,7 @@ def computable_subgraph(dag: Dag, node_id: int) -> Dag:
     takes in the full graph.
     """
     dag.require_valid()
-    keep = ancestors(dag, node_id) | {node_id}
+    keep = set(dag.closure(node_id))
     if 0 not in keep:
         raise ValueError(f"node {node_id} is not reachable from the input")
     old_ids = sorted(keep)

@@ -23,7 +23,7 @@ from .elements import (
     Activation,
     ActivationAffine,
     Affine,
-    BasisElement,
+    ArcElement,
     Identity,
     Linear,
     Transform,
@@ -57,27 +57,32 @@ def _transform_to_dict(spec: TransformSpec) -> dict:
     return data
 
 
-def element_to_dict(elem: BasisElement) -> dict:
+def element_to_dict(elem: ArcElement) -> dict:
     data: dict[str, Any] = {"kind": elem.kind}
-    w = getattr(elem, "weight", None)
-    if w is not None:
-        data["W"] = np.asarray(w).tolist()
-        bias = getattr(elem, "bias", None)
-        if bias is not None and np.any(bias):
-            data["b"] = np.asarray(bias).tolist()
-    act = getattr(elem, "act", None)
-    if act is not None:
-        data.update(_act_to_dict(act))
-    spec = getattr(elem, "spec", None)
-    if spec is not None:
-        data["transform"] = _transform_to_dict(spec)
+    if elem.weight is not None:
+        data["W"] = elem.weight.tolist()
+    if elem.bias is not None and np.any(elem.bias):
+        data["b"] = elem.bias.tolist()
+    if elem.act is not None:
+        data.update(_act_to_dict(elem.act))
+    if elem.spec is not None:
+        data["transform"] = _transform_to_dict(elem.spec)
     return data
 
 
 def _need(data: dict, key: str, where: str):
+    if not isinstance(data, dict):
+        raise NetworkFormatError(f"{where}: must be an object, got {type(data).__name__}")
     if key not in data:
         raise NetworkFormatError(f"{where}: missing field {key!r}")
     return data[key]
+
+
+def _int(value, where: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise NetworkFormatError(f"{where}: must be an integer, got {value!r}") from None
 
 
 def _matrix_from(data, where: str) -> np.ndarray:
@@ -104,7 +109,7 @@ def _act_from_dict(data: dict, in_dim: int, where: str):
                 right_pieces=tuple((float(r), float(a)) for r, a in cpwl.get("right", [])),
                 left_pieces=tuple((float(l), float(t)) for l, t in cpwl.get("left", [])),
             )
-        except (TypeError, ValueError) as exc:
+        except (AttributeError, TypeError, ValueError) as exc:
             raise NetworkFormatError(f"{where}.cpwl: {exc}") from None
     raise NetworkFormatError(f"{where}: activation needs a 'cpwl' or 'pool' field")
 
@@ -117,7 +122,7 @@ def _transform_from_dict(data: dict, where: str) -> TransformSpec:
         raise NetworkFormatError(f"{where}: {exc}") from None
 
 
-def element_from_dict(data: dict, in_dim: int, where: str) -> BasisElement:
+def element_from_dict(data: dict, in_dim: int, where: str) -> ArcElement:
     kind = _need(data, "kind", where)
     try:
         if kind == "identity":
@@ -140,7 +145,7 @@ def element_from_dict(data: dict, in_dim: int, where: str) -> BasisElement:
             )
     except NetworkFormatError:
         raise
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise NetworkFormatError(f"{where}: {exc}") from None
     raise NetworkFormatError(f"{where}: unknown element kind {kind!r}")
 
@@ -177,10 +182,7 @@ def dag_to_dict(dag: Dag) -> dict:
 def dag_from_dict(data: dict) -> Dag:
     if not isinstance(data, dict):
         raise NetworkFormatError("top level must be an object")
-    try:
-        input_dim = int(_need(data, "input_dim", "top level"))
-    except (TypeError, ValueError):
-        raise NetworkFormatError("input_dim: must be an integer") from None
+    input_dim = _int(_need(data, "input_dim", "top level"), "input_dim")
 
     raw_nodes = _need(data, "nodes", "top level")
     raw_arcs = _need(data, "arcs", "top level")
@@ -192,7 +194,7 @@ def dag_from_dict(data: dict) -> Dag:
     orders = {}
     for i, entry in enumerate(raw_nodes):
         where = f"nodes[{i}]"
-        nid = int(_need(entry, "id", where))
+        nid = _int(_need(entry, "id", where), f"{where}.id")
         role = str(_need(entry, "role", where))
         if role == "output":
             role = ROLE_RELAY
@@ -201,17 +203,20 @@ def dag_from_dict(data: dict) -> Dag:
         ids.append(nid)
         roles[nid] = role
         if "concat_order" in entry:
-            orders[nid] = tuple(int(a) for a in entry["concat_order"])
+            order = entry["concat_order"]
+            if not isinstance(order, list):
+                raise NetworkFormatError(f"{where}.concat_order: must be an array")
+            orders[nid] = tuple(_int(a, f"{where}.concat_order") for a in order)
     if sorted(ids) != list(range(len(ids))):
         raise NetworkFormatError("nodes: ids must be dense 0..n-1")
 
     arcs = []
     for i, entry in enumerate(raw_arcs):
         where = f"arcs[{i}]"
-        src = int(_need(entry, "src", where))
-        dst = int(_need(entry, "dst", where))
-        in_dim = int(_need(entry, "in_dim", where))
-        out_dim = int(_need(entry, "out_dim", where))
+        src, dst, in_dim, out_dim = (
+            _int(_need(entry, key, where), f"{where}.{key}")
+            for key in ("src", "dst", "in_dim", "out_dim")
+        )
         elem = element_from_dict(_need(entry, "elem", where), in_dim, f"{where}.elem")
         arcs.append(Arc(i, src, dst, elem, in_dim, out_dim))
 
@@ -222,7 +227,7 @@ def dag_from_dict(data: dict) -> Dag:
         has_out.add(arc.src)
 
     if "output_node" in data:
-        output_node = int(data["output_node"])
+        output_node = _int(data["output_node"], "output_node")
     else:
         sinks = [nid for nid in ids if nid not in has_out]
         if len(sinks) != 1:
@@ -240,7 +245,10 @@ def dag_from_dict(data: dict) -> Dag:
             order = ()
         nodes.append(Node(nid, role, order))
 
-    labels = {str(k): int(v) for k, v in data.get("labels", {}).items()}
+    labels = data.get("labels", {})
+    if not isinstance(labels, dict):
+        raise NetworkFormatError("labels: must be an object")
+    labels = {str(k): _int(v, f"labels.{k}") for k, v in labels.items()}
     return Dag(input_dim, tuple(nodes), tuple(arcs), output_node, labels)
 
 

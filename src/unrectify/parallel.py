@@ -1,4 +1,7 @@
-"""Thread-pool helpers; UNRECTIFY_THREADS caps the worker count."""
+"""Thread-pool helpers; UNRECTIFY_THREADS caps the worker count.
+
+The library itself no longer calls them: ``bench/`` prints ``worker_count``
+and traces ``parallel_map``."""
 from __future__ import annotations
 
 import os

@@ -21,9 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .basis import PoolSpec, cpwl_piece_ids, cpwl_slope_offset, pool_ids
-from .elements import activation_of, linear_part, pre_activation, transform_of
-from .graph import Arc, Dag, ancestors, forward, forward_batch
-from .parallel import parallel_map
+from .graph import Arc, Dag, _evaluate, propagate
 from .stability import _max_pair_ratios
 
 __all__ = [
@@ -90,31 +88,24 @@ class RefinementReport:
 
 def _pattern_arcs(dag: Dag, node_id: int) -> list[Arc]:
     """Activation arcs of the node's computable sub-graph in code order:
-    by the whole graph's topological rank of the head node, then by arc id.
-    A smaller ancestor closure keeps the relative order, which is what keeps
-    nested codes sub-sequences."""
+    by the topological rank of the head node, then by arc id.  A smaller
+    ancestor closure keeps the relative order, which is what keeps nested
+    codes sub-sequences."""
     dag.require_valid()
-    keep = ancestors(dag, node_id) | {node_id}
-    rank = {nid: i for i, nid in enumerate(dag.topo_order)}
-    arcs = [
-        arc
-        for arc in dag.arcs
-        if arc.src in keep and arc.dst in keep and activation_of(arc.elem) is not None
-    ]
-    arcs.sort(key=lambda a: (rank[a.dst], a.id))
-    return arcs
+    arcs = (arc for nid in dag.closure(node_id) for arc in dag.in_arcs[nid])
+    return [arc for arc in arcs if arc.elem.act is not None]
 
 
-def _first_transform(dag: Dag, keep: set[int]) -> Optional[Arc]:
-    """Lowest-id transform arc into ``keep``, an ancestor closure, or None."""
-    arcs = (arc for arc in dag.arcs if arc.dst in keep and transform_of(arc.elem) is not None)
-    return next(arcs, None)
+def _first_transform(dag: Dag, node_id: int) -> Optional[Arc]:
+    """First transform arc of the node's computable sub-graph, or None."""
+    arcs = (arc for nid in dag.closure(node_id) for arc in dag.in_arcs[nid])
+    return next((arc for arc in arcs if arc.elem.spec is not None), None)
 
 
 def _arc_pattern(arc: Arc, src_values: np.ndarray) -> np.ndarray:
     """Integer pattern ids for one activation arc, batch in rows."""
-    act = activation_of(arc.elem)
-    pre = pre_activation(arc.elem, src_values)
+    act = arc.elem.act
+    pre = arc.elem.pre_activation(src_values)
     if isinstance(act, PoolSpec):
         return pool_ids(act, pre)
     return cpwl_piece_ids(act, pre)
@@ -135,7 +126,7 @@ def _region_labels(
     """
     arcs = _pattern_arcs(dag, node_id)
     if trace is None:
-        _, trace = forward_batch(dag, xs)
+        trace = _evaluate(dag, xs, node_id, batch=True)
     n = len(xs)
     labels = np.zeros(n, dtype=np.int64)
     bound = 1  # every label is below this
@@ -166,7 +157,7 @@ def region_code(dag: Dag, node_id: int, x) -> RegionCode:
     """Region code of one input at one node."""
     xs = np.asarray(x, dtype=float).reshape(1, -1)
     arcs = _pattern_arcs(dag, node_id)
-    _, trace = forward_batch(dag, xs)
+    trace = _evaluate(dag, xs, node_id, batch=True)
     # CPWL patterns carry one id per coordinate, pool patterns one per block;
     # both equal the arc's output dimension.
     segments = tuple(tuple(_arc_pattern(arc, trace[arc.src])[0].tolist()) for arc in arcs)
@@ -177,74 +168,42 @@ def affine_piece(dag: Dag, node_id: int, x) -> AffinePiece:
     """Affine map active on the region containing x, composed arc by arc.
 
     Each activation is replaced by its active linear pieces (a selection for
-    pools); concatenations stack maps, summations add them.  Transforms are
-    not piecewise-affine, so their presence in the sub-graph is an error.
+    pools); concatenations stack maps, summations add them.  A map is carried
+    as one augmented matrix M with [x, 1] @ M the node value, so it walks the
+    graph like a value does.  Transforms are not piecewise-affine, so their
+    presence in the sub-graph is an error.
     """
     dag.require_valid()
-    keep = ancestors(dag, node_id) | {node_id}
-    arc = _first_transform(dag, keep)
+    arc = _first_transform(dag, node_id)
     if arc is not None:
         raise NotPiecewiseAffineError(
             f"arc {arc.id} applies a transform; the function is not piecewise affine"
         )
-    _, trace = forward(dag, x)
-    dim_in = dag.input_dim
-    arc_by_id = {arc.id: arc for arc in dag.arcs}
+    trace = _evaluate(dag, x, node_id, batch=False)
 
-    maps: dict[int, tuple[np.ndarray, np.ndarray]] = {
-        0: (np.eye(dim_in), np.zeros(dim_in))
-    }
+    def through_arc(arc: Arc, m: np.ndarray) -> np.ndarray:
+        elem = arc.elem
+        if elem.weight is not None:
+            m = m @ elem.weight.T
+            if elem.bias is not None:
+                m[-1] += elem.bias
+        if elem.act is None:
+            return m
+        pre = elem.pre_activation(trace[arc.src])
+        if isinstance(elem.act, PoolSpec):
+            ids = pool_ids(elem.act, pre)
+            picked = m[:, np.arange(len(ids)) * elem.act.block + ids - 1]
+            return np.where(ids > 0, picked, 0.0)
+        slope, offset = cpwl_slope_offset(elem.act, pre)
+        m = m * slope
+        m[-1] += offset
+        return m
 
-    def through_arc(arc: Arc) -> tuple[np.ndarray, np.ndarray]:
-        a_mat, c_vec = maps[arc.src]
-        w = linear_part(arc.elem)
-        if w is not None:
-            bias = getattr(arc.elem, "bias", None)
-            a_mat = w @ a_mat
-            c_vec = w @ c_vec + (bias if bias is not None else 0.0)
-        act = activation_of(arc.elem)
-        if act is None:
-            return a_mat, c_vec
-        pre = pre_activation(arc.elem, trace[arc.src])
-        if isinstance(act, PoolSpec):
-            ids = pool_ids(act, pre)
-            sel = np.zeros((ids.shape[-1], pre.shape[-1]))
-            for blk, code in enumerate(ids):
-                if code > 0:
-                    sel[blk, blk * act.block + (code - 1)] = 1.0
-            return sel @ a_mat, sel @ c_vec
-        slope, offset = cpwl_slope_offset(act, pre)
-        return slope[:, None] * a_mat, slope * c_vec + offset
-
-    for nid in dag.topo_order:
-        if nid not in keep or nid == 0:
-            continue
-        node = dag.nodes[nid]
-        arcs = [arc_by_id[a] for a in node.concat_order] if node.concat_order else list(
-            dag.in_arcs[nid]
-        )
-        parts = [through_arc(arc) for arc in arcs]
-        if node.role == "concat":
-            maps[nid] = (
-                np.vstack([p[0] for p in parts]),
-                np.concatenate([p[1] for p in parts]),
-            )
-        elif node.role == "add":
-            a_mat = parts[0][0]
-            c_vec = parts[0][1]
-            for p in parts[1:]:
-                a_mat = a_mat + p[0]
-                c_vec = c_vec + p[1]
-            maps[nid] = (a_mat, c_vec)
-        else:
-            maps[nid] = parts[0]
-
-    a_mat, c_vec = maps[node_id]
-    a_mat = a_mat.copy()
-    c_vec = c_vec.copy()
-    a_mat.setflags(write=False)
-    c_vec.setflags(write=False)
-    return AffinePiece(weight=a_mat, bias=c_vec)
+    m = propagate(dag, node_id, np.eye(dag.input_dim + 1, dag.input_dim), through_arc)[node_id]
+    weight, bias = m[:-1].T.copy(), m[-1].copy()
+    weight.setflags(write=False)
+    bias.setflags(write=False)
+    return AffinePiece(weight=weight, bias=bias)
 
 
 def check_refinement(
@@ -254,13 +213,12 @@ def check_refinement(
     coarse node over all sample pairs.  The coarse node must belong to the
     fine node's computable sub-graph."""
     xs = np.asarray(samples, dtype=float)
-    keep = ancestors(dag, fine_node) | {fine_node}
-    if coarse_node not in keep:
+    if coarse_node not in dag.closure(fine_node):
         raise ValueError(
             f"node {coarse_node} is not in the computable sub-graph of node {fine_node}"
         )
     if trace is None:
-        _, trace = forward_batch(dag, xs)
+        trace = _evaluate(dag, xs, fine_node, batch=True)
     la, na = _region_labels(dag, fine_node, xs, trace=trace)
     lb, nb = _region_labels(dag, coarse_node, xs, trace=trace)
 
@@ -333,8 +291,8 @@ def partition_stats(
     """Partition statistics of a sample set at one node.
 
     Samples are grouped by region code; the intra-region distance is the
-    exact max pairwise distance per group (groups swept in parallel), capped
-    per ``max_pairwise_distance``.
+    exact max pairwise distance per group, capped per
+    ``max_pairwise_distance``.
     """
     xs = np.asarray(samples, dtype=float)
     if len(xs) == 0:
@@ -342,12 +300,10 @@ def partition_stats(
     labels_arr, n_regions = _region_labels(dag, node_id, xs, trace=trace)
     sizes = np.bincount(labels_arr, minlength=n_regions)
 
-    groups = _shared_regions(labels_arr)
-
-    def sweep(chunk):
-        return max_pairwise_distance(xs[chunk], pair_cap=pair_cap, seed=seed)
-
-    results = parallel_map(sweep, groups)
+    results = [
+        max_pairwise_distance(xs[chunk], pair_cap=pair_cap, seed=seed)
+        for chunk in _shared_regions(labels_arr)
+    ]
     max_dist = max((d for d, _ in results), default=0.0)
     subsampled = any(flag for _, flag in results)
     return PartitionStats(
@@ -411,7 +367,7 @@ def count_regions_2d(
         if value < 1:
             raise ValueError(f"{name} must be at least 1, got {value}")
     node = dag.output_node if node_id is None else node_id
-    side = row_block if _first_transform(dag, ancestors(dag, node) | {node}) is None else 2
+    side = row_block if _first_transform(dag, node) is None else 2
     axis = np.linspace(float(box[0]), float(box[1]), grid_n)
 
     hit = np.zeros(min(row_block, grid_n) * grid_n, dtype=bool)

@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .elements import BasisElement, linear_part
+from .elements import ArcElement
 from .graph import Arc, Dag, forward_batch, levels, uniform_bound_of
 
 __all__ = [
@@ -89,7 +89,7 @@ def _arc_norms(dag: Dag, norm: str) -> dict[int, float]:
     """Weight-norm factor of every arc by arc id; weightless arcs count one."""
     out = {}
     for arc in dag.arcs:
-        w = linear_part(arc.elem)
+        w = arc.elem.weight
         if w is None:
             out[arc.id] = 1.0
         elif norm == "spectral":
@@ -202,11 +202,10 @@ def certify(dag: Dag, d: Optional[float] = None) -> StabilityReport:
     )
 
 
-def _scaled_element(elem: BasisElement, factor: float) -> BasisElement:
-    w = linear_part(elem)
-    if w is None:
+def _scaled_element(elem: ArcElement, factor: float) -> ArcElement:
+    if elem.weight is None:
         return elem
-    return replace(elem, weight=np.asarray(w) * factor)
+    return replace(elem, weight=elem.weight * factor)
 
 
 def rescale_to_stability(dag: Dag, use_frobenius: bool = False) -> Dag:
@@ -228,8 +227,8 @@ def rescale_to_stability(dag: Dag, use_frobenius: bool = False) -> Dag:
     factors: dict[int, float] = {}
     for n in range(1, top + 1):
         arcs = per_level.get(n, [])
-        unit_mass = d * sum(1.0 for a in arcs if linear_part(a.elem) is None)
-        weighted = d * sum(norms[a.id] for a in arcs if linear_part(a.elem) is not None)
+        unit_mass = d * sum(1.0 for a in arcs if a.elem.weight is None)
+        weighted = d * sum(norms[a.id] for a in arcs if a.elem.weight is not None)
         total = unit_mass + weighted
         if total <= 1.0 + SUM_TOLERANCE:
             continue
@@ -239,7 +238,7 @@ def rescale_to_stability(dag: Dag, use_frobenius: bool = False) -> Dag:
                 "the budget; rescaling weights cannot certify this level"
             )
         for arc in arcs:
-            if linear_part(arc.elem) is not None:
+            if arc.elem.weight is not None:
                 factors[arc.id] = (1.0 - unit_mass) / weighted
 
     if not factors:

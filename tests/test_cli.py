@@ -159,3 +159,13 @@ def test_lenet_partition_command_corrupt_idx(tmp_path, capsys):
     rc = main(["lenet-partition", "--mnist-dir", str(data_dir), "--out", str(tmp_path)])
     assert rc == 2
     assert "offset" in capsys.readouterr().err
+
+
+def test_validate_names_a_malformed_node_entry(tmp_path, capsys):
+    path = tmp_path / "bad_node.json"
+    path.write_text(
+        '{"input_dim": 2, "nodes": [{"id": 0, "role": "input"}, 5], "arcs": []}'
+    )
+    assert main(["validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "nodes[1]" in err and "Traceback" not in err

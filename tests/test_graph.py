@@ -251,3 +251,53 @@ def test_concat_dims_sum_and_add_requires_equal():
     rng = np.random.default_rng(11)
     g = concatenate([identity_dag(2), identity_dag(2), identity_dag(2)])
     assert g.node_dims[g.output_node] == 6
+
+
+def _chain_file(arcs):
+    return {
+        "input_dim": 2,
+        "nodes": [{"id": i, "role": r} for i, r in enumerate(("input", "relay", "relay"))],
+        "arcs": arcs,
+        "output_node": 2,
+    }
+
+
+def test_combinators_accept_arcs_out_of_topological_order():
+    from unrectify.netio import dag_from_dict
+
+    rng = np.random.default_rng(12)
+    first = {"src": 0, "dst": 1, "in_dim": 2, "out_dim": 3,
+             "elem": {"kind": "linear", "W": rng.standard_normal((3, 2)).tolist()}}
+    second = {"src": 1, "dst": 2, "in_dim": 3, "out_dim": 1,
+              "elem": {"kind": "linear", "W": rng.standard_normal((1, 3)).tolist()}}
+    in_order = dag_from_dict(_chain_file([first, second]))
+    reverse = dag_from_dict(_chain_file([second, first]))
+    assert validate(reverse).ok
+    xs = rng.standard_normal((5, 2))
+    for combine in (
+        lambda g: series(g, Identity(1)),
+        lambda g: duplicate(g, 2),
+        lambda g: concatenate([g, g]),
+    ):
+        expected, _ = forward_batch(combine(in_order), xs)
+        got, _ = forward_batch(combine(reverse), xs)
+        assert np.array_equal(got, expected)
+
+
+def test_combinators_keep_a_permuted_concat_order():
+    rng = np.random.default_rng(13)
+    nodes = (Node(0, ROLE_INPUT), Node(1, "concat", (1, 0)))
+    arcs = (
+        Arc(0, 0, 1, Linear(rng.standard_normal((3, 2))), 2, 3),
+        Arc(1, 0, 1, Linear(rng.standard_normal((1, 2))), 2, 1),
+    )
+    g = Dag(2, nodes, arcs, 1)
+    xs = rng.standard_normal((5, 2))
+    expected, _ = forward_batch(g, xs)
+    for combined, copies in (
+        (series(g, Identity(4)), 1),
+        (duplicate(g, 2), 2),
+        (concatenate([g, g]), 2),
+    ):
+        got, _ = forward_batch(combined, xs)
+        assert np.array_equal(got, np.hstack([expected] * copies))

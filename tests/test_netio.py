@@ -163,3 +163,85 @@ def test_cyclic_file_loads_and_fails_validation():
     report = validate(dag)
     assert not report.ok
     assert any("cycle" in p or "incoming" in p for p in report.problems)
+
+
+def _small_network():
+    return {
+        "input_dim": 2,
+        "nodes": [{"id": 0, "role": "input"}, {"id": 1, "role": "concat"}],
+        "arcs": [
+            {"src": 0, "dst": 1, "elem": {"kind": "identity"}, "in_dim": 2, "out_dim": 2}
+        ],
+        "output_node": 1,
+        "labels": {"a": 1},
+    }
+
+
+def _set(path, value):
+    def edit(data):
+        target = data
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, field",
+    [
+        (_set(("nodes", 1), 7), r"nodes\[1\]"),
+        (_set(("nodes", 1, "id"), "x"), r"nodes\[1\]\.id"),
+        (_set(("arcs", 0, "src"), "a"), r"arcs\[0\]\.src"),
+        (_set(("arcs", 0, "elem"), 3), r"arcs\[0\]\.elem"),
+        (_set(("labels",), ["a", 1]), "labels"),
+        (_set(("labels", "a"), "z"), r"labels\.a"),
+        (_set(("output_node",), "q"), "output_node"),
+        (_set(("nodes", 1, "concat_order"), ["z"]), r"nodes\[1\]\.concat_order"),
+    ],
+    ids=[
+        "node_entry", "node_id", "arc_src", "arc_elem",
+        "labels", "label_value", "output_node", "concat_order",
+    ],
+)
+def test_malformed_fields_are_named(edit, field):
+    data = _small_network()
+    assert validate(dag_from_dict(data)).ok
+    edit(data)
+    with pytest.raises(NetworkFormatError, match=field):
+        dag_from_dict(data)
+
+
+def test_kind_strings_of_the_element_factories():
+    rng = np.random.default_rng(3)
+    w = rng.standard_normal((4, 4))
+    cases = [
+        (Identity(4), "identity"),
+        (Linear(w), "linear"),
+        (Affine(w, rng.standard_normal(4)), "affine"),
+        (Affine(w), "affine"),
+        (Affine(w, np.zeros(4)), "affine"),
+        (Activation(hard_tanh_spec(), 4), "activation"),
+        (ActivationAffine(PoolSpec(2, rectified=True), w), "activation_affine"),
+        (Transform(TransformSpec("softmax", scale=2.0), 4), "transform"),
+        (TransformAffine(TransformSpec("tanh"), w), "transform_affine"),
+    ]
+    for elem, kind in cases:
+        g = series(identity_dag(4), elem)
+        assert dag_to_dict(g)["arcs"][0]["elem"]["kind"] == kind
+        again = roundtrip(g)
+        assert again.arcs[0].elem.kind == kind
+
+
+def test_arc_element_rejects_conflicting_parts():
+    from unrectify import ArcElement
+
+    w = np.eye(2)
+    for parts, message in (
+        (dict(bias=np.ones(2), dim=2), "bias needs a weight"),
+        (dict(weight=w, dim=2), "dimensions from the weight"),
+        (dict(weight=w, act=hard_tanh_spec(), spec=TransformSpec("tanh")), "not both"),
+        (dict(act=PoolSpec(2), dim=3), "not a multiple of block 2"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            ArcElement(**parts)

@@ -473,3 +473,25 @@ def test_transform_arcs_contribute_nothing_to_codes():
     code = region_code(net, net.output_node, np.zeros(3))
     assert code.segments == ()
     assert code.arc_ids == ()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_queries_evaluate_only_the_node_closure():
+    from unrectify import Affine
+
+    rng = np.random.default_rng(13)
+    dag = series(identity_dag(2), ActivationAffine(relu_spec(), rng.standard_normal((3, 2))))
+    inner = dag.output_node
+    for _ in range(2):
+        dag = series(dag, Affine(1e200 * np.eye(3)))
+    sub = computable_subgraph(dag, inner)
+    xs = rng.standard_normal((40, 2))
+    with pytest.raises(ValueError, match="non-finite"):
+        forward_batch(dag, xs)
+    assert region_code(dag, inner, xs[0]) == region_code(sub, sub.output_node, xs[0])
+    piece, expected = affine_piece(dag, inner, xs[0]), affine_piece(sub, sub.output_node, xs[0])
+    assert np.array_equal(piece.weight, expected.weight)
+    assert np.array_equal(piece.bias, expected.bias)
+    assert partition_stats(dag, inner, xs) == partition_stats(sub, sub.output_node, xs)
+    assert check_refinement(dag, inner, 0, xs) == check_refinement(sub, sub.output_node, 0, xs)
+    assert count_regions_2d(dag, grid_n=21, node_id=inner) == count_regions_2d(sub, grid_n=21)
