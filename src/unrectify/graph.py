@@ -113,12 +113,6 @@ class Dag:
     output_node: int
     labels: dict = field(default_factory=dict)
 
-    def node(self, node_id: int) -> Node:
-        return self.nodes[node_id]
-
-    def arc(self, arc_id: int) -> Arc:
-        return self.arcs[arc_id]
-
     @cached_property
     def in_arcs(self) -> tuple[tuple[Arc, ...], ...]:
         incoming: list[list[Arc]] = [[] for _ in self.nodes]
@@ -269,12 +263,7 @@ def validate(dag: Dag) -> ValidationReport:
     if not is_acyclic:
         problems.append(f"cycle through nodes {sorted(set(range(n)) - set(order))}")
 
-    incoming = [[] for _ in range(n)]
-    outgoing = [[] for _ in range(n)]
-    for arc in dag.arcs:
-        incoming[arc.dst].append(arc)
-        outgoing[arc.src].append(arc)
-
+    incoming, outgoing = dag.in_arcs, dag.out_arcs
     for node in dag.nodes:
         n_in = len(incoming[node.id])
         if node.role == ROLE_INPUT and n_in != 0:
@@ -303,32 +292,20 @@ def validate(dag: Dag) -> ValidationReport:
         if node.id != dag.output_node and not outgoing[node.id]:
             problems.append(f"node {node.id} is a dead end (only the output may be a sink)")
 
-    reach = {0}
-    frontier = [0]
-    while frontier:
-        v = frontier.pop()
-        for arc in outgoing[v]:
-            if arc.dst not in reach:
-                reach.add(arc.dst)
-                frontier.append(arc.dst)
+    reach = _reach(outgoing, 0, "dst")
     unreachable = sorted(set(range(n)) - reach)
     if unreachable:
         problems.append(f"nodes unreachable from the input: {unreachable}")
-    coreach = {dag.output_node}
-    frontier = [dag.output_node]
-    while frontier:
-        v = frontier.pop()
-        for arc in incoming[v]:
-            if arc.src not in coreach:
-                coreach.add(arc.src)
-                frontier.append(arc.src)
-    stranded = sorted(set(range(n)) - coreach)
+    stranded = sorted(set(range(n)) - _reach(incoming, dag.output_node, "src"))
     if stranded:
         problems.append(f"nodes with no path to the output: {stranded}")
 
     if is_acyclic and not problems:
         _, dim_problems = _node_dims(dag)
         problems.extend(dim_problems)
+    for name, nid in dag.labels.items():
+        if not 0 <= nid < n:
+            problems.append(f"label {name!r} names node {nid}, which does not exist")
 
     return ValidationReport(tuple(problems), n, len(dag.arcs), len(reach), is_acyclic)
 
@@ -346,7 +323,7 @@ def levels(dag: Dag) -> dict[int, int]:
 
 def _ordered_in_arcs(dag: Dag, node: Node) -> tuple[Arc, ...]:
     if node.role in (ROLE_CONCAT, ROLE_ADD):
-        return tuple(dag.arc(a) for a in node.concat_order)
+        return tuple(dag.arcs[a] for a in node.concat_order)
     return dag.in_arcs[node.id]
 
 
@@ -450,19 +427,24 @@ class GraphBuilder:
         self.connect(src, nid, elem)
         return nid
 
-    def _insert(self, g: Dag) -> dict[int, int]:
-        """Copy a valid graph over the builder's input node, arcs in their
-        order with ids shifted; returns the map from g's node ids."""
+    def _insert(self, g: Dag, keep: Optional[set[int]] = None) -> dict[int, int]:
+        """Copy a valid graph, or only its nodes ``keep`` and the arcs between
+        them, over the builder's input node.  Arcs keep their order and are
+        numbered on densely; returns the map from g's kept node ids."""
         g.require_valid()
         node_map = {0: 0}
         for node in g.nodes[1:]:
-            node_map[node.id] = self.add_node(node.role)
-        shift = len(self.arcs)
+            if keep is None or node.id in keep:
+                node_map[node.id] = self.add_node(node.role)
+        arc_map = {}
         for arc in g.arcs:
-            src, dst = node_map[arc.src], node_map[arc.dst]
-            self.arcs.append(Arc(shift + arc.id, src, dst, arc.elem, arc.in_dim, arc.out_dim))
+            if arc.src in node_map and arc.dst in node_map:
+                arc_map[arc.id] = aid = len(self.arcs)
+                src, dst = node_map[arc.src], node_map[arc.dst]
+                self.arcs.append(Arc(aid, src, dst, arc.elem, arc.in_dim, arc.out_dim))
         for node in g.nodes[1:]:
-            self._incoming[node_map[node.id]] = [shift + a.id for a in _ordered_in_arcs(g, node)]
+            if node.id in node_map:
+                self._incoming[node_map[node.id]] = [arc_map[a.id] for a in _ordered_in_arcs(g, node)]
         return node_map
 
     def finish(self, output_node: int, labels: Optional[Mapping] = None) -> Dag:
@@ -523,21 +505,27 @@ def duplicate(g: Dag, m: int) -> Dag:
     return b.finish(cat, g.labels)
 
 
+def _reach(adjacent, start: int, end: str) -> set[int]:
+    """Nodes reached from ``start``, itself included, by walking the arcs
+    ``adjacent[v]`` of each reached node v to their ``end``, "src" or "dst"."""
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        for arc in adjacent[frontier.pop()]:
+            nid = getattr(arc, end)
+            if nid not in seen:
+                seen.add(nid)
+                frontier.append(nid)
+    return seen
+
+
 def ancestors(dag: Dag, node_id: int) -> set[int]:
     """All nodes with a path to ``node_id`` (excluding the node itself)."""
     if not (0 <= node_id < len(dag.nodes)):
         raise ValueError(
             f"node {node_id} does not exist; node ids run from 0 to {len(dag.nodes) - 1}"
         )
-    seen: set[int] = set()
-    frontier = [node_id]
-    while frontier:
-        v = frontier.pop()
-        for arc in dag.in_arcs[v]:
-            if arc.src not in seen:
-                seen.add(arc.src)
-                frontier.append(arc.src)
-    return seen
+    return _reach(dag.in_arcs, node_id, "src") - {node_id}
 
 
 def computable_subgraph(dag: Dag, node_id: int) -> Dag:
@@ -548,27 +536,7 @@ def computable_subgraph(dag: Dag, node_id: int) -> Dag:
     takes in the full graph.
     """
     dag.require_valid()
-    keep = set(dag.closure(node_id))
-    if 0 not in keep:
-        raise ValueError(f"node {node_id} is not reachable from the input")
-    old_ids = sorted(keep)
-    node_map = {old: new for new, old in enumerate(old_ids)}
-
-    arc_map: dict[int, int] = {}
-    new_arcs: list[Arc] = []
-    for arc in dag.arcs:
-        if arc.src in keep and arc.dst in keep:
-            aid = len(new_arcs)
-            arc_map[arc.id] = aid
-            new_arcs.append(
-                Arc(aid, node_map[arc.src], node_map[arc.dst], arc.elem, arc.in_dim, arc.out_dim)
-            )
-    new_nodes = []
-    for old in old_ids:
-        node = dag.nodes[old]
-        order = tuple(arc_map[a] for a in node.concat_order if a in arc_map)
-        new_nodes.append(Node(node_map[old], node.role, order))
-    labels = {k: node_map[v] for k, v in dag.labels.items() if v in keep}
-    sub = Dag(dag.input_dim, tuple(new_nodes), tuple(new_arcs), node_map[node_id], labels)
-    sub.require_valid()
-    return sub
+    b = GraphBuilder(dag.input_dim)
+    node_map = b._insert(dag, set(dag.closure(node_id)))
+    labels = {k: node_map[v] for k, v in dag.labels.items() if v in node_map}
+    return b.finish(node_map[node_id], labels)

@@ -13,6 +13,7 @@ the offending field.
 from __future__ import annotations
 
 import json
+import numbers
 from pathlib import Path
 from typing import Any
 
@@ -79,10 +80,12 @@ def _need(data: dict, key: str, where: str):
 
 
 def _int(value, where: str) -> int:
-    try:
+    """An integer field: an integer, or a number with no fractional part."""
+    if isinstance(value, float) and value.is_integer():
         return int(value)
-    except (TypeError, ValueError):
-        raise NetworkFormatError(f"{where}: must be an integer, got {value!r}") from None
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise NetworkFormatError(f"{where}: must be an integer, got {value!r}")
+    return int(value)
 
 
 def _matrix_from(data, where: str) -> np.ndarray:
@@ -101,7 +104,8 @@ def _act_from_dict(data: dict, in_dim: int, where: str):
         kind = _need(pool, "kind", f"{where}.pool")
         if kind not in ("maxlu", "maxpool"):
             raise NetworkFormatError(f"{where}.pool.kind: unknown pool {kind!r}")
-        return PoolSpec(block=int(_need(pool, "block", f"{where}.pool")), rectified=kind == "maxlu")
+        block = _int(_need(pool, "block", f"{where}.pool"), f"{where}.pool.block")
+        return PoolSpec(block=block, rectified=kind == "maxlu")
     if "cpwl" in data:
         cpwl = data["cpwl"]
         try:

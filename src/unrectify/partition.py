@@ -122,11 +122,14 @@ def _region_labels(
     exceed the sample count is first renumbered densely, and the labels are
     renumbered densely (``np.unique``) before a product could pass 2^62, so
     the fold never overflows.  Renumbering keeps order, so label order is the
-    lexicographic order of the codes.
+    lexicographic order of the codes.  A given ``trace`` must have been
+    computed from ``xs``: its input values are compared with them.
     """
     arcs = _pattern_arcs(dag, node_id)
     if trace is None:
         trace = _evaluate(dag, xs, node_id, batch=True)
+    elif not np.array_equal(trace.get(0), xs):
+        raise ValueError("the trace belongs to other samples: its input values differ")
     n = len(xs)
     labels = np.zeros(n, dtype=np.int64)
     bound = 1  # every label is below this
@@ -242,42 +245,20 @@ def check_refinement(
 def max_pairwise_distance(
     points: np.ndarray, pair_cap: Optional[int] = 1_000_000, seed: int = 0
 ) -> tuple[float, bool]:
-    """Largest pairwise Euclidean distance within a point set.
+    """Largest pairwise Euclidean distance within a point set, and whether
+    the pairs were sampled.
 
-    Exact when the pair count fits the cap: the value equals the brute-force
-    maximum of ``np.linalg.norm(pts[j] - pts[i], axis=1)`` bit for bit.  A
-    blocked Gram screen of the points shifted by the first point,
-    c_i = p_i - p_0, bounds every squared distance to within
-    4(k + 8)·eps·(||c_i||^2 + ||c_j||^2) for k dimensions
-    (Higham's inner-product bound, twice over), and only the pairs whose
-    bound could reach the maximum are recomputed in that form.  This is the
-    gain sweep of ``stability._max_pair_ratios`` with denominator one.
-    Above the cap a seeded uniform sample of ``pair_cap`` pairs gives a
-    lower estimate, flagged in the result.
+    This is the pair sweep ``stability._max_pair_ratios`` with denominator
+    one, which states its rounding bound.  When the pair count fits the cap
+    the value equals the brute-force maximum of
+    ``np.linalg.norm(pts[j] - pts[i], axis=1)`` bit for bit; above the cap a
+    seeded uniform sample of ``pair_cap`` pairs gives a lower estimate.
     """
     pts = np.asarray(points, dtype=float)
-    g = len(pts)
-    if g < 2:
+    if len(pts) < 2:
         return 0.0, False
-    pairs = g * (g - 1) // 2
-    if pair_cap is None or pairs <= pair_cap:
-        return float(_max_pair_ratios([pts])[0][0]), False
-    rng = np.random.default_rng(seed)
-    best = 0.0
-    remaining = int(pair_cap)
-    chunk = 1 << 18
-    while remaining > 0:
-        take = min(chunk, remaining)
-        i = rng.integers(0, g, size=take)
-        j = rng.integers(0, g, size=take)
-        mask = i != j
-        if mask.any():
-            d = np.linalg.norm(pts[i[mask]] - pts[j[mask]], axis=1)
-            m = float(d.max())
-            if m > best:
-                best = m
-        remaining -= take
-    return best, True
+    best, _, subsampled = _max_pair_ratios([pts], budget=pair_cap, seed=seed)
+    return float(best[0]), subsampled
 
 
 def partition_stats(

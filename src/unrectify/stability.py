@@ -296,12 +296,19 @@ def _gram_bound(screen, i0: int, i1: int, sign: float) -> np.ndarray:
 
 
 def _max_pair_ratios(
-    values: list[np.ndarray], xs: Optional[np.ndarray] = None, min_distance: float = 0.0
-) -> tuple[np.ndarray, int]:
+    values: list[np.ndarray],
+    xs: Optional[np.ndarray] = None,
+    min_distance: float = 0.0,
+    budget: Optional[int] = None,
+    seed: int = 0,
+) -> tuple[np.ndarray, int, bool]:
     """Per matrix v of ``values``, the maximum over pairs i < j of
     ||v[j] - v[i]|| / ||xs[j] - xs[i]||, skipping pairs whose denominator is
-    below ``min_distance``, and the number of pairs kept.  Without ``xs``
-    the denominator is one and every pair is kept.
+    below ``min_distance``, the number of pairs kept, and whether the pairs
+    were sampled.  Without ``xs`` the denominator is one and every pair is
+    kept.  When the pairs outnumber ``budget``, ``budget`` seeded uniform
+    draws (i, j), in rounds of 2^17 with i drawn before j, give a lower
+    estimate instead, measured in the exact form below.
 
     The result equals brute force bit for bit: every ratio that can reach
     the result is computed as ``np.linalg.norm(v[j] - v[i], axis=1)`` over
@@ -326,27 +333,39 @@ def _max_pair_ratios(
     """
     n = len(values[0])
 
-    def exact(v, i, j):
-        """Largest ratio over the pairs (i, j) in the brute-force form, and
-        the number of pairs kept; gathered in chunks of bounded size."""
-        top, count = 0.0, 0
-        step = max(1, PAIR_BLOCK // v.shape[1])
+    def exact(vs, i, j):
+        """Largest ratio per matrix of ``vs`` over the pairs (i, j) in the
+        brute-force form, and the number of pairs kept; gathered in chunks
+        of bounded size, each denominator computed once for every matrix."""
+        top, count = np.zeros(len(vs)), 0
+        step = max(1, PAIR_BLOCK // max(v.shape[1] for v in vs))
         for s in range(0, len(i), step):
             a, b = i[s : s + step], j[s : s + step]
-            ratio = np.linalg.norm(v[b] - v[a], axis=1)
             if xs is not None:
                 nx = np.linalg.norm(xs[b] - xs[a], axis=1)
                 keep = nx >= min_distance
-                ratio = ratio[keep] / nx[keep]
-            top = max(top, float(ratio.max(initial=0.0)))
-            count += len(ratio)
+                a, b, nx = a[keep], b[keep], nx[keep]
+            for k, v in enumerate(vs):
+                ratio = np.linalg.norm(v[b] - v[a], axis=1)
+                if xs is not None:
+                    ratio /= nx
+                top[k] = max(top[k], ratio.max(initial=0.0))
+            count += len(a)
         return top, count
+
+    if budget is not None and n * (n - 1) // 2 > budget:
+        rng = np.random.default_rng(seed)
+        best, used = np.zeros(len(values)), 0
+        for start in range(0, int(budget), 1 << 17):
+            take = min(1 << 17, int(budget) - start)
+            i = rng.integers(0, n, size=take)
+            top, kept = exact(values, i, rng.integers(0, n, size=take))
+            best, used = np.maximum(best, top), used + kept
+        return best, used, True
 
     width = sum(v.shape[1] for v in values) + (0 if xs is None else xs.shape[1])
     if n * (n - 1) // 2 * width <= DIRECT_ENTRIES:
-        i, j = np.nonzero(np.arange(n)[:, None] < np.arange(n))
-        found = [exact(v, i, j) for v in values]
-        return np.array([top for top, _ in found]), found[0][1]
+        return (*exact(values, *np.nonzero(np.arange(n)[:, None] < np.arange(n))), False)
 
     screens = [_screen(v) for v in values]
     x_screen = None if xs is None else _screen(xs)
@@ -370,7 +389,7 @@ def _max_pair_ratios(
             unsure = kept & ~sure
             if unsure.any():
                 r, col = np.nonzero(unsure)
-                used += exact(xs, i0 + r, i0 + 1 + col)[1]
+                used += exact([xs], i0 + r, i0 + 1 + col)[1]
             used += int(sure.sum())
             # lower bound on the squared denominator, less the comparison's rounding
             floor = np.maximum(lo, 0.0) * (1.0 - 4.0 * _EPS)
@@ -380,13 +399,13 @@ def _max_pair_ratios(
             score = hi_v * inv  # bounds the squared ratio of every sure pair
             k = int(np.argmax(score))
             if score.flat[k] > best[lev] ** 2:
-                r, col = divmod(k, score.shape[1])
-                best[lev] = max(best[lev], exact(v, [i0 + r], [i0 + 1 + col])[0])
+                r, col = np.divmod([k], score.shape[1])
+                best[lev] = max(best[lev], exact([v], i0 + r, i0 + 1 + col)[0][0])
             reach = (hi_v >= best[lev] ** 2 * floor) & kept
             if reach.any():
                 r, col = np.nonzero(reach)
-                best[lev] = max(best[lev], exact(v, i0 + r, i0 + 1 + col)[0])
-    return best, used if xs is not None else n * (n - 1) // 2
+                best[lev] = max(best[lev], exact([v], i0 + r, i0 + 1 + col)[0][0])
+    return best, used if xs is not None else n * (n - 1) // 2, False
 
 
 def empirical_gain(
@@ -401,16 +420,9 @@ def empirical_gain(
     All pairs when the budget allows, otherwise a seeded uniform sample of
     ``pair_budget`` pairs.  Pairs closer than ``min_distance`` are skipped.
     Level n stacks the values of every level-n node; level 0 is the input,
-    so its gain is exactly one.
-
-    The all-pairs maximum and pair count equal the brute-force loop over
-    rows bit for bit.  A blocked Gram screen of the rows shifted by the
-    first row, c_i = x_i - x_0, bounds every squared distance: for rows of
-    dimension k, an entry lies within
-    4(k + 8)·eps·(||c_i||^2 + ||c_j||^2) of the squared norm that
-    ``np.linalg.norm`` computes (Higham's inner-product bound, twice over;
-    see ``_max_pair_ratios``).  Only the pairs whose bounds could reach the
-    maximum, or fall near ``min_distance``, are recomputed in that form.
+    so its gain is exactly one.  The all-pairs maximum and pair count equal
+    the brute-force loop over rows bit for bit; ``_max_pair_ratios`` states
+    the rounding bound that makes them so.
     """
     xs = np.asarray(samples, dtype=float)
     if xs.ndim != 2 or len(xs) < 2:
@@ -418,41 +430,12 @@ def empirical_gain(
     if not (xs != xs[0]).any():
         raise ValueError("empirical gain needs at least two distinct samples")
     values = _level_value_matrices(dag, xs)
-    top = len(values) - 1
-    n = len(xs)
-    gains = np.zeros(top + 1)
-    gains[0] = 1.0
-
-    total_pairs = n * (n - 1) // 2
-    subsampled = total_pairs > pair_budget
-    used = 0
-    if not subsampled:
-        gains[1:], used = _max_pair_ratios(values[1:], xs, min_distance)
-    else:
-        rng = np.random.default_rng(seed)
-        remaining = int(pair_budget)
-        chunk = 1 << 17
-        while remaining > 0:
-            take = min(chunk, remaining)
-            i = rng.integers(0, n, size=take)
-            j = rng.integers(0, n, size=take)
-            dx = xs[i] - xs[j]
-            nx = np.linalg.norm(dx, axis=1)
-            keep = nx >= min_distance
-            used += int(keep.sum())
-            if keep.any():
-                for lev in range(1, top + 1):
-                    dv = values[lev][i[keep]] - values[lev][j[keep]]
-                    ratio = np.linalg.norm(dv, axis=1) / nx[keep]
-                    m = float(ratio.max())
-                    if m > gains[lev]:
-                        gains[lev] = m
-            remaining -= take
+    gains, used, subsampled = _max_pair_ratios(values[1:], xs, min_distance, pair_budget, seed)
     if used == 0:
         raise ValueError("all sample pairs are closer than the minimum distance")
     return GainCurve(
-        levels=tuple(range(top + 1)),
-        gains=tuple(float(g) for g in gains),
+        levels=tuple(range(len(values))),
+        gains=(1.0, *(float(g) for g in gains)),
         pairs_used=used,
         pairs_subsampled=subsampled,
     )

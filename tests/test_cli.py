@@ -1,9 +1,18 @@
+import json
+
 import numpy as np
 import pytest
 
-from unrectify import build_demo_network, build_series_stack, save_network, svd_spectral_norm
+from unrectify import (
+    build_demo_network,
+    build_fusion_module,
+    build_series_stack,
+    save_network,
+    svd_spectral_norm,
+)
 from unrectify.cli import main
 from unrectify.experiments import GAIN_HEADER, LEVEL_HEADER, REGIONS_HEADER, STATS_HEADER
+from unrectify.netio import dag_to_dict
 
 
 @pytest.fixture()
@@ -169,3 +178,13 @@ def test_validate_names_a_malformed_node_entry(tmp_path, capsys):
     assert main(["validate", str(path)]) == 2
     err = capsys.readouterr().err
     assert "nodes[1]" in err and "Traceback" not in err
+
+
+def test_validate_fails_on_a_label_of_a_missing_node(tmp_path, capsys):
+    rng = np.random.default_rng(28)
+    data = dag_to_dict(build_fusion_module([rng.standard_normal((2, 2)) for _ in range(2)]))
+    data["labels"]["ghost"] = 99
+    path = tmp_path / "ghost.json"
+    path.write_text(json.dumps(data))
+    assert main(["validate", str(path)]) == 1
+    assert "label 'ghost' names node 99" in capsys.readouterr().out

@@ -12,6 +12,7 @@ from unrectify import (
     Linear,
     Node,
     PoolSpec,
+    build_fusion_module,
     computable_subgraph,
     concatenate,
     duplicate,
@@ -178,6 +179,35 @@ def test_validate_requires_single_sink():
     )
     report = validate(Dag(2, nodes, arcs, 2))
     assert not report.ok
+
+
+def test_validate_names_unreachable_and_stranded_nodes():
+    # node 3 feeds the output but nothing feeds it; node 4 hangs off node 1
+    nodes = (
+        Node(0, ROLE_INPUT),
+        Node(1, "duplicate"),
+        Node(2, "add", (1, 2)),
+        Node(3, ROLE_RELAY),
+        Node(4, ROLE_RELAY),
+    )
+    arcs = (
+        Arc(0, 0, 1, Identity(2), 2, 2),
+        Arc(1, 1, 2, Identity(2), 2, 2),
+        Arc(2, 3, 2, Identity(2), 2, 2),
+        Arc(3, 1, 4, Identity(2), 2, 2),
+    )
+    report = validate(Dag(2, nodes, arcs, 2))
+    assert "nodes unreachable from the input: [3]" in report.problems
+    assert "nodes with no path to the output: [4]" in report.problems
+    assert report.reachable_count == 4
+
+
+def test_validate_names_a_label_of_a_missing_node():
+    rng = np.random.default_rng(27)
+    dag = build_fusion_module([rng.standard_normal((2, 2)), rng.standard_normal((2, 2))])
+    assert len(dag.nodes) == 5 and validate(dag).ok
+    ghost = Dag(dag.input_dim, dag.nodes, dag.arcs, dag.output_node, {**dag.labels, "ghost": 99})
+    assert validate(ghost).problems == ("label 'ghost' names node 99, which does not exist",)
 
 
 def test_levels_chain():

@@ -198,10 +198,18 @@ def _set(path, value):
         (_set(("labels", "a"), "z"), r"labels\.a"),
         (_set(("output_node",), "q"), "output_node"),
         (_set(("nodes", 1, "concat_order"), ["z"]), r"nodes\[1\]\.concat_order"),
+        (_set(("input_dim",), 2.9), "input_dim"),
+        (_set(("nodes", 1, "id"), 1.7), r"nodes\[1\]\.id"),
+        (_set(("arcs", 0, "dst"), True), r"arcs\[0\]\.dst"),
+        (
+            _set(("arcs", 0, "elem"), {"kind": "activation", "pool": {"kind": "maxlu", "block": 2.9}}),
+            r"arcs\[0\]\.elem\.pool\.block",
+        ),
     ],
     ids=[
         "node_entry", "node_id", "arc_src", "arc_elem",
         "labels", "label_value", "output_node", "concat_order",
+        "fractional_input_dim", "fractional_node_id", "boolean_arc_dst", "fractional_pool_block",
     ],
 )
 def test_malformed_fields_are_named(edit, field):
@@ -210,6 +218,15 @@ def test_malformed_fields_are_named(edit, field):
     edit(data)
     with pytest.raises(NetworkFormatError, match=field):
         dag_from_dict(data)
+
+
+def test_integral_numbers_load_as_integers():
+    data = _small_network()
+    data["input_dim"] = 2.0
+    data["arcs"][0]["dst"] = 1.0
+    dag = dag_from_dict(data)
+    assert validate(dag).ok
+    assert dag_to_dict(dag) == dag_to_dict(dag_from_dict(_small_network()))
 
 
 def test_kind_strings_of_the_element_factories():

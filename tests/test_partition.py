@@ -279,6 +279,50 @@ def test_max_pairwise_distance_near_ties_equal_brute_force():
         assert max_pairwise_distance(pts, pair_cap=None) == (brute, False)
 
 
+def sampled_loop_distance(pts, cap, seed):
+    """The seeded pair sample of the distance sweep as a standalone loop:
+    ``cap`` draws (i, j) in rounds of 2^17, i drawn before j, pairs with
+    i == j skipped."""
+    rng = np.random.default_rng(seed)
+    best, remaining = 0.0, cap
+    while remaining > 0:
+        take = min(1 << 17, remaining)
+        i = rng.integers(0, len(pts), size=take)
+        j = rng.integers(0, len(pts), size=take)
+        mask = i != j
+        if mask.any():
+            best = max(best, float(np.linalg.norm(pts[i[mask]] - pts[j[mask]], axis=1).max()))
+        remaining -= take
+    return best, True
+
+
+@pytest.mark.parametrize("cap", [1, 100, 5000, (1 << 17) - 1, 1 << 17])
+def test_max_pairwise_distance_sample_equals_seeded_loop(cap):
+    # 600 points give 179,700 pairs, more than every cap
+    pts = np.random.default_rng(25).standard_normal((600, 4))
+    for seed in (0, 3):
+        assert max_pairwise_distance(pts, pair_cap=cap, seed=seed) == sampled_loop_distance(
+            pts, cap, seed
+        )
+
+
+def test_trace_of_other_samples_is_rejected():
+    rng = np.random.default_rng(26)
+    dag = build_fusion_module([rng.standard_normal((2, 2)), rng.standard_normal((2, 2))])
+    xs = rng.standard_normal((50, 2))
+    fine, coarse = dag.output_node, dag.labels["channel0"]
+    _, other = forward_batch(dag, rng.standard_normal((50, 2)))
+    _, short = forward_batch(dag, xs[:40])
+    for trace in (other, short):
+        with pytest.raises(ValueError, match="other samples"):
+            partition_stats(dag, fine, xs, trace=trace)
+        with pytest.raises(ValueError, match="other samples"):
+            check_refinement(dag, fine, coarse, xs, trace=trace)
+    _, own = forward_batch(dag, xs)
+    assert partition_stats(dag, fine, xs, trace=own) == partition_stats(dag, fine, xs)
+    assert check_refinement(dag, fine, coarse, xs, trace=own).ok
+
+
 def test_monotone_stats_along_fusion_layers():
     rng = np.random.default_rng(10)
     layer_w = [

@@ -450,6 +450,45 @@ SWEEP_CASES = [
 ]
 
 
+def sampled_loop_gain(dag, xs, budget, seed, min_distance=1e-9):
+    """The seeded pair sample as a standalone loop, the oracle of the sampled
+    sweep: ``budget`` draws (i, j) in rounds of 2^17, i drawn before j."""
+    values = _level_value_matrices(dag, xs)
+    rng = np.random.default_rng(seed)
+    gains = [1.0] + [0.0] * (len(values) - 1)
+    used, remaining = 0, budget
+    while remaining > 0:
+        take = min(1 << 17, remaining)
+        i = rng.integers(0, len(xs), size=take)
+        j = rng.integers(0, len(xs), size=take)
+        nx = np.linalg.norm(xs[i] - xs[j], axis=1)
+        keep = nx >= min_distance
+        used += int(keep.sum())
+        if keep.any():
+            for lev in range(1, len(values)):
+                dv = values[lev][i[keep]] - values[lev][j[keep]]
+                ratio = np.linalg.norm(dv, axis=1) / nx[keep]
+                gains[lev] = max(gains[lev], float(ratio.max()))
+        remaining -= take
+    return tuple(gains), used
+
+
+@pytest.mark.parametrize("budget", [1, 3000, (1 << 17) - 1, 1 << 17, 200_000, 1 << 18])
+def test_empirical_gain_sample_equals_seeded_loop(budget):
+    # 800 rows, half of them repeated, so sampled pairs at distance zero are
+    # dropped; 319,600 pairs exceed every budget
+    rng = np.random.default_rng(34)
+    dag = sweep_networks(3)["fusion"]
+    xs = rng.standard_normal((800, 3))
+    xs[400:] = xs[:400]
+    for seed in (0, 5):
+        gains, used = sampled_loop_gain(dag, xs, budget, seed)
+        curve = empirical_gain(dag, xs, pair_budget=budget, seed=seed)
+        assert curve.pairs_subsampled
+        assert curve.gains == gains
+        assert curve.pairs_used == used
+
+
 @pytest.mark.parametrize("points,net", SWEEP_CASES)
 def test_empirical_gain_equals_per_row_loop(monkeypatch, points, net):
     xs, min_distance = SWEEP_SETS[points]
