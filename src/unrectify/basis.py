@@ -239,7 +239,7 @@ def pool_values(spec: PoolSpec, x) -> np.ndarray:
         raise ValueError(
             f"pool input length {arr.shape[-1]} is not a multiple of block {spec.block}"
         )
-    blocks = arr.reshape(*arr.shape[:-1], -1, spec.block)
+    blocks = arr.reshape(*arr.shape[:-1], arr.shape[-1] // spec.block, spec.block)
     out = blocks.max(axis=-1)
     if spec.rectified:
         out = np.maximum(out, 0.0)
@@ -253,7 +253,7 @@ def pool_ids(spec: PoolSpec, x) -> np.ndarray:
     maximum is strictly positive; plain max pools always select.
     """
     arr = np.asarray(x, dtype=float)
-    blocks = arr.reshape(*arr.shape[:-1], -1, spec.block)
+    blocks = arr.reshape(*arr.shape[:-1], arr.shape[-1] // spec.block, spec.block)
     sel = np.argmax(blocks, axis=-1)
     ids = sel.astype(np.int64) + 1
     if spec.rectified:

@@ -358,7 +358,16 @@ def propagate(dag: Dag, node_id: int, start, through_arc) -> dict:
     return values
 
 
-def _evaluate(dag: Dag, xs, node_id: int, batch: bool) -> dict[int, np.ndarray]:
+class Trace(dict):
+    """Node values of one evaluation by node id, with their graph and a
+    table from arc id to pattern code that the partition queries fill."""
+
+    def __init__(self, dag: Dag, values: dict):
+        super().__init__(values)
+        self.dag, self.codes = dag, {}
+
+
+def _evaluate(dag: Dag, xs, node_id: int, batch: bool) -> Trace:
     """Values of the node's closure on one input, or on a batch of row inputs."""
     arr = np.asarray(xs, dtype=float)
     if batch and (arr.ndim != 2 or arr.shape[1] != dag.input_dim):
@@ -368,17 +377,17 @@ def _evaluate(dag: Dag, xs, node_id: int, batch: bool) -> dict[int, np.ndarray]:
     if not np.all(np.isfinite(arr)):
         raise ValueError("input entries must be finite")
     dag.require_valid()
-    return propagate(dag, node_id, arr, lambda arc, value: arc.elem.apply(value))
+    return Trace(dag, propagate(dag, node_id, arr, lambda arc, value: arc.elem.apply(value)))
 
 
-def forward(dag: Dag, x) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+def forward(dag: Dag, x) -> tuple[np.ndarray, Trace]:
     """Evaluate the graph on one input; returns (output, per-node trace)."""
     trace = _evaluate(dag, x, dag.output_node, batch=False)
     return trace[dag.output_node], trace
 
 
-def forward_batch(dag: Dag, xs) -> tuple[np.ndarray, dict[int, np.ndarray]]:
-    """Evaluate the graph on a batch of row-vector inputs."""
+def forward_batch(dag: Dag, xs) -> tuple[np.ndarray, Trace]:
+    """Evaluate the graph on a batch of row-vector inputs; returns (output, trace)."""
     trace = _evaluate(dag, xs, dag.output_node, batch=True)
     return trace[dag.output_node], trace
 

@@ -9,9 +9,11 @@ intersection of half-spaces, hence convex, so the count refines only the
 lattice cells whose corners carry different codes.
 
 A batch of samples is labelled by one primitive, ``_region_labels``: it folds
-the pattern columns, in code order, into one dense integer label per sample,
-so equal labels mean equal codes and label order is the lexicographic order
-of the codes.
+the codes of the node's activation arcs, in code order, into one dense integer
+label per sample, so equal labels mean equal codes and label order is the
+lexicographic order of the codes.  An arc's code, its pattern block folded
+into one int64 per sample, is kept in a table of the batch's trace, so all
+queries on one ``forward_batch`` trace derive each arc's patterns once.
 """
 from __future__ import annotations
 
@@ -21,7 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .basis import PoolSpec, cpwl_piece_ids, cpwl_slope_offset, pool_ids
-from .graph import Arc, Dag, _evaluate, propagate
+from .graph import Arc, Dag, Trace, _evaluate, propagate
 from .stability import _max_pair_ratios
 
 __all__ = [
@@ -111,39 +113,61 @@ def _arc_pattern(arc: Arc, src_values: np.ndarray) -> np.ndarray:
     return cpwl_piece_ids(act, pre)
 
 
+def _fold(labels: np.ndarray, bound: int, col: np.ndarray, k: int) -> tuple[np.ndarray, int]:
+    """``labels * k + col`` and its bound, for labels below ``bound`` and a
+    column below k.  Before a product could pass 2^62 the labels, then if
+    need be the column, are renumbered densely, which keeps their order."""
+    if bound * k > 1 << 62:
+        values, labels = np.unique(labels, return_inverse=True)
+        bound = len(values)
+        if bound * k > 1 << 62:
+            values, col = np.unique(col, return_inverse=True)
+            k = len(values)
+    return labels * k + col, bound * k
+
+
+def _arc_code(trace: Trace, arc: Arc) -> tuple[np.ndarray, int]:
+    """The arc's pattern rows as one code per sample in their lexicographic
+    order, and a bound above every code, derived once per trace.  Ids are
+    below a radix (``block + 1`` for a pool, 2^pieces for a CPWL bitmask);
+    each run of columns whose radix product fits in 2^62 is one matmul with
+    their place values, and the runs go through ``_fold``.
+    """
+    if arc.id not in trace.codes:
+        act = arc.elem.act
+        radix = act.block + 1 if isinstance(act, PoolSpec) else 1 << act.piece_count
+        width = 62 // (radix - 1).bit_length()  # radix ** width <= 2^62
+        place = radix ** np.arange(width - 1, -1, -1)
+        pattern = _arc_pattern(arc, trace[arc.src])
+        code, bound = np.zeros(len(pattern), dtype=np.int64), 1
+        for start in range(0, pattern.shape[1], width):
+            run = pattern[:, start : start + width]
+            code, bound = _fold(code, bound, run @ place[-run.shape[1] :], radix ** run.shape[1])
+        trace.codes[arc.id] = code, bound
+    return trace.codes[arc.id]
+
+
 def _region_labels(
-    dag: Dag, node_id: int, xs: np.ndarray, trace: Optional[dict] = None
+    dag: Dag, node_id: int, xs: np.ndarray, trace: Optional[Trace] = None
 ) -> tuple[np.ndarray, int]:
     """Dense region label per sample and the number of distinct regions.
 
-    Walks the node's activation arcs in code order, one arc's patterns at a
-    time, and folds each pattern column into an int64 label as
-    ``labels * k + col`` with ``k = col.max() + 1``.  A column whose values
-    exceed the sample count is first renumbered densely, and the labels are
-    renumbered densely (``np.unique``) before a product could pass 2^62, so
-    the fold never overflows.  Renumbering keeps order, so label order is the
-    lexicographic order of the codes.  A given ``trace`` must have been
-    computed from ``xs``: its input values are compared with them.
+    Folds the node's arc codes (``_arc_code``, kept in the trace's table) in
+    code order as ``labels * k + code`` and renumbers densely at the end, so
+    label order is the lexicographic order of the codes.  A given ``trace``
+    must be the one ``forward_batch(dag, xs)`` returned: one of another graph
+    is refused, and its input values are compared with ``xs``.
     """
     arcs = _pattern_arcs(dag, node_id)
     if trace is None:
         trace = _evaluate(dag, xs, node_id, batch=True)
+    elif not isinstance(trace, Trace) or trace.dag is not dag:
+        raise ValueError("the trace belongs to another graph")
     elif not np.array_equal(trace.get(0), xs):
         raise ValueError("the trace belongs to other samples: its input values differ")
-    n = len(xs)
-    labels = np.zeros(n, dtype=np.int64)
-    bound = 1  # every label is below this
+    labels, bound = np.zeros(len(xs), dtype=np.int64), 1
     for arc in arcs:
-        for col in _arc_pattern(arc, trace[arc.src]).T:
-            k = int(col.max(initial=0)) + 1
-            if k > n:
-                values, col = np.unique(col, return_inverse=True)
-                k = len(values)
-            if bound * k > 1 << 62:
-                values, labels = np.unique(labels, return_inverse=True)
-                bound = len(values)
-            labels = labels * k + col
-            bound *= k
+        labels, bound = _fold(labels, bound, *_arc_code(trace, arc))
     values, labels = np.unique(labels, return_inverse=True)
     return labels, len(values)
 
@@ -187,7 +211,8 @@ def affine_piece(dag: Dag, node_id: int, x) -> AffinePiece:
     def through_arc(arc: Arc, m: np.ndarray) -> np.ndarray:
         elem = arc.elem
         if elem.weight is not None:
-            m = m @ elem.weight.T
+            # at the input m is the identity start: take [W^T; 0] without the product
+            m = np.vstack([elem.weight.T, np.zeros(len(elem.weight))]) if arc.src == 0 else m @ elem.weight.T
             if elem.bias is not None:
                 m[-1] += elem.bias
         if elem.act is None:
@@ -210,11 +235,13 @@ def affine_piece(dag: Dag, node_id: int, x) -> AffinePiece:
 
 
 def check_refinement(
-    dag: Dag, fine_node: int, coarse_node: int, samples, trace: Optional[dict] = None
+    dag: Dag, fine_node: int, coarse_node: int, samples, trace: Optional[Trace] = None
 ) -> RefinementReport:
     """Verify that equal codes at the fine node imply equal codes at the
     coarse node over all sample pairs.  The coarse node must belong to the
-    fine node's computable sub-graph."""
+    fine node's computable sub-graph.  A given ``trace`` must be the one
+    ``forward_batch(dag, samples)`` returned; the arc codes in its table are
+    shared with every other query on it."""
     xs = np.asarray(samples, dtype=float)
     if coarse_node not in dag.closure(fine_node):
         raise ValueError(
@@ -267,13 +294,15 @@ def partition_stats(
     samples,
     pair_cap: Optional[int] = 1_000_000,
     seed: int = 0,
-    trace: Optional[dict] = None,
+    trace: Optional[Trace] = None,
 ) -> PartitionStats:
     """Partition statistics of a sample set at one node.
 
     Samples are grouped by region code; the intra-region distance is the
     exact max pairwise distance per group, capped per
-    ``max_pairwise_distance``.
+    ``max_pairwise_distance``.  A given ``trace`` must be the one
+    ``forward_batch(dag, samples)`` returned; the arc codes in its table are
+    shared with every other query on it.
     """
     xs = np.asarray(samples, dtype=float)
     if len(xs) == 0:

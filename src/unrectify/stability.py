@@ -430,12 +430,13 @@ def empirical_gain(
     if not (xs != xs[0]).any():
         raise ValueError("empirical gain needs at least two distinct samples")
     values = _level_value_matrices(dag, xs)
-    gains, used, subsampled = _max_pair_ratios(values[1:], xs, min_distance, pair_budget, seed)
+    # a graph of its input node alone still counts its pairs by the same rule
+    gains, used, subsampled = _max_pair_ratios(values[1:] or values, xs, min_distance, pair_budget, seed)
     if used == 0:
         raise ValueError("all sample pairs are closer than the minimum distance")
     return GainCurve(
         levels=tuple(range(len(values))),
-        gains=(1.0, *(float(g) for g in gains)),
+        gains=(1.0, *(float(g) for g in gains[: len(values) - 1])),
         pairs_used=used,
         pairs_subsampled=subsampled,
     )

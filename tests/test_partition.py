@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import PAIR_SWEEP_MODES, pair_sweep_sets, random_valid_dag, set_pair_sweep_mode
+from unrectify import partition
 from unrectify import (
     Activation,
     ActivationAffine,
@@ -15,18 +16,30 @@ from unrectify import (
     build_demo_network,
     build_fusion_module,
     build_fusion_stack,
+    build_lenet5,
+    build_series_stack,
     check_refinement,
     computable_subgraph,
     count_regions_2d,
     forward,
     forward_batch,
     fusion_partition_bound,
+    hard_tanh_spec,
     identity_dag,
+    lenet5_probe_nodes,
     partition_stats,
     relu_spec,
     series,
 )
-from unrectify.partition import _region_labels, max_pairwise_distance, region_code
+from unrectify.basis import cpwl_slope_offset, pool_ids
+from unrectify.graph import propagate
+from unrectify.partition import (
+    _arc_pattern,
+    _pattern_arcs,
+    _region_labels,
+    max_pairwise_distance,
+    region_code,
+)
 
 
 def relu_layer(dim):
@@ -539,3 +552,184 @@ def test_queries_evaluate_only_the_node_closure():
     assert partition_stats(dag, inner, xs) == partition_stats(sub, sub.output_node, xs)
     assert check_refinement(dag, inner, 0, xs) == check_refinement(sub, sub.output_node, 0, xs)
     assert count_regions_2d(dag, grid_n=21, node_id=inner) == count_regions_2d(sub, grid_n=21)
+
+
+def per_column_labels(dag, node_id, xs):
+    """The per-column fold that the per-arc codes replaced, kept as an
+    oracle: every pattern column folded alone as ``labels * k + col``."""
+    _, trace = forward_batch(dag, xs)
+    n = len(xs)
+    labels = np.zeros(n, dtype=np.int64)
+    bound = 1
+    for arc in _pattern_arcs(dag, node_id):
+        for col in _arc_pattern(arc, trace[arc.src]).T:
+            k = int(col.max(initial=0)) + 1
+            if k > n:
+                values, col = np.unique(col, return_inverse=True)
+                k = len(values)
+            if bound * k > 1 << 62:
+                values, labels = np.unique(labels, return_inverse=True)
+                bound = len(values)
+            labels = labels * k + col
+            bound *= k
+    values, labels = np.unique(labels, return_inverse=True)
+    return labels, len(values)
+
+
+def _fold_cases():
+    rng = np.random.default_rng(30)
+    knots = np.linspace(-3.0, 3.0, 45)
+    many_knots = CpwlSpec(right_pieces=[(0.1, k) for k in knots])
+    base = identity_dag(2)
+    # piece ids up to 2^45: one column per run, renumbered to fold
+    yield series(base, ActivationAffine(many_knots, rng.standard_normal((3, 2))))
+    # 70 binary columns: a run of 62 and a run of 8
+    yield series(base, ActivationAffine(relu_spec(), rng.standard_normal((70, 2))))
+    # 130: two full runs, so the second must be renumbered to fold
+    yield series(base, ActivationAffine(relu_spec(), rng.standard_normal((130, 2))))
+    # 40 pool columns of radix 3: a run of 31 and a run of 9
+    yield series(base, ActivationAffine(PoolSpec(2), rng.standard_normal((80, 2))))
+    yield series(base, ActivationAffine(hard_tanh_spec(), rng.standard_normal((20, 2))))
+    yield from _refinement_cases()
+    for _ in range(6):
+        yield random_valid_dag(rng)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 300])
+def test_arc_code_fold_equals_per_column_fold(n):
+    rng = np.random.default_rng(31)
+    for dag in _fold_cases():
+        xs = rng.uniform(-4.0, 4.0, (n, dag.input_dim))
+        for node in range(len(dag.nodes)):
+            labels, count = _region_labels(dag, node, xs)
+            expected, expected_count = per_column_labels(dag, node, xs)
+            assert count == expected_count
+            assert np.array_equal(labels, expected)
+
+
+def test_one_trace_labels_every_node_in_any_order():
+    rng = np.random.default_rng(32)
+    for dag in _fold_cases():
+        xs = rng.uniform(-4.0, 4.0, (200, dag.input_dim))
+        _, trace = forward_batch(dag, xs)
+        for node in rng.permutation(len(dag.nodes)).tolist():
+            labels, count = _region_labels(dag, node, xs, trace=trace)
+            expected, expected_count = per_column_labels(dag, node, xs)
+            assert count == expected_count
+            assert np.array_equal(labels, expected)
+            assert partition_stats(dag, node, xs, trace=trace) == partition_stats(dag, node, xs)
+
+
+def test_lenet5_probe_labels_equal_per_column_fold():
+    dag = build_lenet5(seed=0)
+    rng = np.random.default_rng(37)
+    protos = rng.uniform(0.0, 1.0, (3, 784))
+    images = np.repeat(protos, 10, axis=0)
+    images[:, 300:310] += 1e-3 * rng.standard_normal((30, 10))
+    _, trace = forward_batch(dag, images)
+    probes = lenet5_probe_nodes(dag)
+    for node in (probes[8][0], probes[3][0], probes[7][5], probes[4][0]):
+        labels, count = _region_labels(dag, node, images, trace=trace)
+        expected, expected_count = per_column_labels(dag, node, images)
+        assert count == expected_count
+        assert np.array_equal(labels, expected)
+
+
+def test_one_trace_derives_each_arc_pattern_once(monkeypatch):
+    derived = []
+
+    def counting(arc, src_values):
+        derived.append(arc.id)
+        return _arc_pattern(arc, src_values)
+
+    monkeypatch.setattr(partition, "_arc_pattern", counting)
+    rng = np.random.default_rng(33)
+    lw = [tuple(rng.standard_normal(shape) for shape in ((5, 5), 5, (5, 5), 5)) for _ in range(3)]
+    dag = build_fusion_stack(lw, mode="probe")
+    xs = rng.standard_normal((100, 5))
+    _, trace = forward_batch(dag, xs)
+    queried = set()
+    for j in (3, 1, 2):
+        for channel in ("bottom", "fusion", "top"):
+            node = dag.labels[f"layer{j}.{channel}"]
+            partition_stats(dag, node, xs, trace=trace)
+            queried |= {arc.id for arc in _pattern_arcs(dag, node)}
+    for j in (2, 1):
+        fine, coarse = dag.labels[f"layer{j + 1}.fusion"], dag.labels[f"layer{j}.fusion"]
+        assert check_refinement(dag, fine, coarse, xs, trace=trace).ok
+    assert sorted(derived) == sorted(queried)
+
+    # without a trace, a refinement check derives the fine node's arcs once
+    derived.clear()
+    fine, coarse = dag.labels["layer3.fusion"], dag.labels["layer2.top"]
+    assert check_refinement(dag, fine, coarse, xs).ok
+    assert sorted(derived) == sorted(arc.id for arc in _pattern_arcs(dag, fine))
+
+
+def test_trace_of_another_graph_is_rejected():
+    rng = np.random.default_rng(34)
+    a, b = (build_fusion_module([rng.standard_normal((2, 2)), rng.standard_normal((2, 2))]) for _ in range(2))
+    xs = rng.standard_normal((50, 2))
+    fine, coarse = a.output_node, a.labels["channel0"]
+    _, trace = forward_batch(a, xs)
+    assert partition_stats(a, fine, xs, trace=trace) == partition_stats(a, fine, xs)
+    assert trace.codes  # A's codes are filled
+    for graph, given in ((b, trace), (b, dict(trace)), (a, dict(trace))):
+        with pytest.raises(ValueError, match="another graph"):
+            partition_stats(graph, fine, xs, trace=given)
+        with pytest.raises(ValueError, match="another graph"):
+            check_refinement(graph, fine, coarse, xs, trace=given)
+
+
+def composed_piece(dag, node_id, x):
+    """affine_piece's map composed from the identity at the input, as before
+    arcs leaving the input took [W^T; b] directly; kept as an oracle."""
+    _, trace = forward(dag, x)
+
+    def through_arc(arc, m):
+        elem = arc.elem
+        if elem.weight is not None:
+            m = m @ elem.weight.T
+            if elem.bias is not None:
+                m[-1] += elem.bias
+        if elem.act is None:
+            return m
+        pre = elem.pre_activation(trace[arc.src])
+        if isinstance(elem.act, PoolSpec):
+            ids = pool_ids(elem.act, pre)
+            picked = m[:, np.arange(len(ids)) * elem.act.block + ids - 1]
+            return np.where(ids > 0, picked, 0.0)
+        slope, offset = cpwl_slope_offset(elem.act, pre)
+        m = m * slope
+        m[-1] += offset
+        return m
+
+    m = propagate(dag, node_id, np.eye(dag.input_dim + 1, dag.input_dim), through_arc)[node_id]
+    return m[:-1].T, m[-1]
+
+
+def _assert_piece_equals_composition(dag, x):
+    piece = affine_piece(dag, dag.output_node, x)
+    weight, bias = composed_piece(dag, dag.output_node, x)
+    assert (piece.weight == weight).all()
+    assert (piece.bias == bias).all()
+
+
+def test_affine_piece_equals_composition_through_the_identity():
+    rng = np.random.default_rng(35)
+    nets = list(_refinement_cases())
+    for _ in range(3):
+        d = int(rng.integers(2, 7))
+        lw = [tuple(rng.standard_normal(shape) for shape in ((d, d), d, (d, d), d)) for _ in range(3)]
+        nets += [build_fusion_stack(lw, mode="probe"), build_fusion_stack(lw, mode="compact")]
+        dims = rng.integers(2, 9, 4).tolist()
+        ws = [rng.standard_normal((dims[i + 1], dims[i])) for i in range(3)]
+        nets.append(build_series_stack(ws, [rng.standard_normal(w.shape[0]) for w in ws]))
+    for dag in nets:
+        for x in rng.standard_normal((3, dag.input_dim)):
+            _assert_piece_equals_composition(dag, x)
+
+
+def test_affine_piece_equals_composition_on_lenet5():
+    dag = build_lenet5(seed=0)
+    _assert_piece_equals_composition(dag, np.random.default_rng(36).uniform(0.0, 1.0, 784))

@@ -26,7 +26,7 @@ from unrectify import (
     svd_spectral_norm,
 )
 from unrectify.elements import linear_part
-from unrectify.stability import SUM_TOLERANCE, _level_value_matrices
+from unrectify.stability import SUM_TOLERANCE, _level_value_matrices, _max_pair_ratios
 
 
 def scaled_matrix(rng, shape, norm):
@@ -538,3 +538,17 @@ def test_resnet_link_condition_matches_oracle():
     big = scaled_matrix(rng, (4, 4), 3.0)
     ok2, value2 = resnet_link_condition(w1, big)
     assert ok2 == (svd_spectral_norm(np.eye(4) - big @ w1) <= 1.0)
+
+
+@pytest.mark.filterwarnings("ignore:no activation or transform present")
+@pytest.mark.parametrize("budget", [2_000_000, 4])
+def test_gain_of_a_graph_of_its_input_alone(budget):
+    dag = identity_dag(2)
+    xs = np.random.default_rng(41).standard_normal((6, 2))
+    xs[5] = xs[0]  # one pair below the minimum distance
+    curve = empirical_gain(dag, xs, pair_budget=budget, seed=3)
+    _, used, subsampled = _max_pair_ratios([xs], xs, 1e-9, budget, 3)
+    assert (curve.levels, curve.gains) == ((0,), (1.0,))
+    assert (curve.pairs_used, curve.pairs_subsampled) == (used, subsampled)
+    report = soundness_check(dag, xs, pair_budget=budget, seed=3)
+    assert report.ok and report.gain_curve == curve
