@@ -289,26 +289,29 @@ def conv2d_affine(
     channel-major, row-major within each channel.  Zero padding.  Returns
     (weight, bias_vector) mapping the flat input to the flat output plane.
     """
+    kernel = np.asarray(kernel)
+    if kernel.ndim != 3:
+        raise ValueError(f"kernel must be 3-D (in_channels, kh, kw), got shape {kernel.shape}")
+    for name, value, least in (("stride", stride, 1), ("pad", pad, 0)):
+        if value < least:
+            raise ValueError(f"{name} must be at least {least}, got {value}")
     in_ch, in_h, in_w = in_shape
-    kc, kh, kw = np.asarray(kernel).shape
+    kc, kh, kw = kernel.shape
     if kc != in_ch:
         raise ValueError(f"kernel expects {kc} channels, input has {in_ch}")
     out_h = (in_h + 2 * pad - kh) // stride + 1
     out_w = (in_w + 2 * pad - kw) // stride + 1
+    if out_h < 1 or out_w < 1:
+        raise ValueError(f"kernel {kh}x{kw} does not fit in_shape {in_shape} padded by {pad}")
     weight = np.zeros((out_h * out_w, in_ch * in_h * in_w))
-    for i in range(out_h):
-        for j in range(out_w):
-            row = i * out_w + j
-            for ci in range(in_ch):
-                for u in range(kh):
-                    ii = i * stride - pad + u
-                    if ii < 0 or ii >= in_h:
-                        continue
-                    for v in range(kw):
-                        jj = j * stride - pad + v
-                        if jj < 0 or jj >= in_w:
-                            continue
-                        weight[row, ci * in_h * in_w + ii * in_w + jj] = kernel[ci, u, v]
+    # one tap per (output row, output column, channel, kernel row, kernel column)
+    shape = (out_h, out_w, in_ch, kh, kw)
+    i, j, ci, u, v = np.ix_(*map(np.arange, shape))
+    ii, jj = i * stride - pad + u, j * stride - pad + v
+    inside = np.broadcast_to((ii >= 0) & (ii < in_h) & (jj >= 0) & (jj < in_w), shape)
+    rows = np.broadcast_to(i * out_w + j, shape)[inside]
+    cols = np.broadcast_to(ci * in_h * in_w + ii * in_w + jj, shape)[inside]
+    weight[rows, cols] = np.broadcast_to(kernel[ci, u, v], shape)[inside]
     return weight, np.full(out_h * out_w, float(bias))
 
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from .basis import PoolSpec, cpwl_piece_ids, cpwl_slope_offset, pool_ids
 from .graph import Arc, Dag, Trace, _evaluate, propagate
-from .stability import _max_pair_ratios
+from . import stability
 
 __all__ = [
     "RegionCode",
@@ -174,10 +174,12 @@ def _region_labels(
 
 def _shared_regions(labels: np.ndarray) -> list[np.ndarray]:
     """Sample indices of every region holding two or more samples, in label
-    order."""
+    order: runs of the stably sorted samples, ended by the cumulative counts
+    of the dense labels."""
     order = np.argsort(labels, kind="stable")
-    groups = np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
-    return [g for g in groups if len(g) >= 2]
+    sizes = np.bincount(labels)
+    ends = np.cumsum(sizes)
+    return [order[e - m : e] for e, m in zip(ends[sizes >= 2].tolist(), sizes[sizes >= 2].tolist())]
 
 
 def region_code(dag: Dag, node_id: int, x) -> RegionCode:
@@ -252,8 +254,10 @@ def check_refinement(
     la, na = _region_labels(dag, fine_node, xs, trace=trace)
     lb, nb = _region_labels(dag, coarse_node, xs, trace=trace)
 
+    # the fine labels refine the coarse ones iff each fine label meets one coarse label
+    ok = np.unique(la * nb + lb).size == na
     violations: list[tuple[int, int]] = []
-    for chunk in _shared_regions(la):
+    for chunk in [] if ok else _shared_regions(la):
         group_lb = lb[chunk]
         if (group_lb != group_lb[0]).any():
             other = chunk[np.flatnonzero(group_lb != group_lb[0])[0]]
@@ -261,7 +265,7 @@ def check_refinement(
             if len(violations) >= 8:
                 break
     return RefinementReport(
-        ok=not violations,
+        ok=ok,
         sample_count=len(xs),
         fine_region_count=na,
         coarse_region_count=nb,
@@ -284,7 +288,7 @@ def max_pairwise_distance(
     pts = np.asarray(points, dtype=float)
     if len(pts) < 2:
         return 0.0, False
-    best, _, subsampled = _max_pair_ratios([pts], budget=pair_cap, seed=seed)
+    best, _, subsampled = stability._max_pair_ratios([pts], budget=pair_cap, seed=seed)
     return float(best[0]), subsampled
 
 
@@ -299,8 +303,12 @@ def partition_stats(
     """Partition statistics of a sample set at one node.
 
     Samples are grouped by region code; the intra-region distance is the
-    exact max pairwise distance per group, capped per
-    ``max_pairwise_distance``.  A given ``trace`` must be the one
+    largest pairwise distance in a group, as ``max_pairwise_distance`` with
+    the same ``pair_cap`` and ``seed`` computes it.  The groups it would
+    measure whole (pairs within the cap, pairs x row width at most
+    ``stability.DIRECT_ENTRIES``) are pooled into one chunked gather of the
+    same exact form, which gives the same maximum bit for bit; each other
+    group keeps its own call.  A given ``trace`` must be the one
     ``forward_batch(dag, samples)`` returned; the arc codes in its table are
     shared with every other query on it.
     """
@@ -310,10 +318,21 @@ def partition_stats(
     labels_arr, n_regions = _region_labels(dag, node_id, xs, trace=trace)
     sizes = np.bincount(labels_arr, minlength=n_regions)
 
-    results = [
-        max_pairwise_distance(xs[chunk], pair_cap=pair_cap, seed=seed)
-        for chunk in _shared_regions(labels_arr)
-    ]
+    pooled, results = {}, []  # regions to pool, by size; (distance, sampled) per measure
+    for chunk in _shared_regions(labels_arr):
+        pairs = len(chunk) * (len(chunk) - 1) // 2
+        direct = pairs * xs.shape[1] <= stability.DIRECT_ENTRIES
+        if direct and (pair_cap is None or pairs <= pair_cap):
+            pooled.setdefault(len(chunk), []).append(chunk)
+        else:
+            results.append(max_pairwise_distance(xs[chunk], pair_cap=pair_cap, seed=seed))
+    if pooled:
+        i, j = [], []
+        for size, group in pooled.items():
+            members, (a, b) = np.stack(group), np.triu_indices(size, 1)
+            i.append(members[:, a].ravel())
+            j.append(members[:, b].ravel())
+        results.append((stability._exact_ratios([xs], np.hstack(i), np.hstack(j))[0][0], False))
     max_dist = max((d for d, _ in results), default=0.0)
     subsampled = any(flag for _, flag in results)
     return PartitionStats(

@@ -295,6 +295,29 @@ def _gram_bound(screen, i0: int, i1: int, sign: float) -> np.ndarray:
     return out
 
 
+def _exact_ratios(vs: list, i: np.ndarray, j: np.ndarray, xs=None, min_distance: float = 0.0):
+    """Largest ratio per matrix of ``vs`` over the pairs (i, j) in the
+    brute-force form ``np.linalg.norm(v[j] - v[i], axis=1)``, over the same
+    form on ``xs`` if given, skipping pairs closer than ``min_distance``, and
+    the number of pairs kept; gathered in chunks of about ``PAIR_BLOCK``
+    entries, each denominator computed once for every matrix."""
+    top, count = np.zeros(len(vs)), 0
+    step = max(1, PAIR_BLOCK // max(v.shape[1] for v in vs))
+    for s in range(0, len(i), step):
+        a, b = i[s : s + step], j[s : s + step]
+        if xs is not None:
+            nx = np.linalg.norm(xs[b] - xs[a], axis=1)
+            keep = nx >= min_distance
+            a, b, nx = a[keep], b[keep], nx[keep]
+        for k, v in enumerate(vs):
+            ratio = np.linalg.norm(v[b] - v[a], axis=1)
+            if xs is not None:
+                ratio /= nx
+            top[k] = max(top[k], ratio.max(initial=0.0))
+        count += len(a)
+    return top, count
+
+
 def _max_pair_ratios(
     values: list[np.ndarray],
     xs: Optional[np.ndarray] = None,
@@ -334,24 +357,7 @@ def _max_pair_ratios(
     n = len(values[0])
 
     def exact(vs, i, j):
-        """Largest ratio per matrix of ``vs`` over the pairs (i, j) in the
-        brute-force form, and the number of pairs kept; gathered in chunks
-        of bounded size, each denominator computed once for every matrix."""
-        top, count = np.zeros(len(vs)), 0
-        step = max(1, PAIR_BLOCK // max(v.shape[1] for v in vs))
-        for s in range(0, len(i), step):
-            a, b = i[s : s + step], j[s : s + step]
-            if xs is not None:
-                nx = np.linalg.norm(xs[b] - xs[a], axis=1)
-                keep = nx >= min_distance
-                a, b, nx = a[keep], b[keep], nx[keep]
-            for k, v in enumerate(vs):
-                ratio = np.linalg.norm(v[b] - v[a], axis=1)
-                if xs is not None:
-                    ratio /= nx
-                top[k] = max(top[k], ratio.max(initial=0.0))
-            count += len(a)
-        return top, count
+        return _exact_ratios(vs, i, j, xs, min_distance)
 
     if budget is not None and n * (n - 1) // 2 > budget:
         rng = np.random.default_rng(seed)

@@ -172,6 +172,60 @@ def test_conv2d_affine_matches_direct_convolution():
             assert abs(out[i, j] - acc) <= 1e-12
 
 
+def loop_conv2d_affine(kernel, bias, in_shape, stride=1, pad=0):
+    """``conv2d_affine`` as the per-tap loop it was first written as; kept
+    as an oracle."""
+    in_ch, in_h, in_w = in_shape
+    _, kh, kw = kernel.shape
+    out_h = (in_h + 2 * pad - kh) // stride + 1
+    out_w = (in_w + 2 * pad - kw) // stride + 1
+    weight = np.zeros((out_h * out_w, in_ch * in_h * in_w))
+    for i in range(out_h):
+        for j in range(out_w):
+            for ci in range(in_ch):
+                for u in range(kh):
+                    ii = i * stride - pad + u
+                    if ii < 0 or ii >= in_h:
+                        continue
+                    for v in range(kw):
+                        jj = j * stride - pad + v
+                        if 0 <= jj < in_w:
+                            weight[i * out_w + j, ci * in_h * in_w + ii * in_w + jj] = kernel[ci, u, v]
+    return weight, np.full(out_h * out_w, float(bias))
+
+
+@pytest.mark.parametrize("stride", [1, 2, 3])
+@pytest.mark.parametrize("pad", [0, 1, 2, 3])
+def test_conv2d_affine_equals_tap_loop(stride, pad):
+    rng = np.random.default_rng(10 * stride + pad)
+    for channels in range(1, 7):
+        for plane in ((5, 5), (7, 5), (5, 9), (6, 8)):
+            for k in (1, 5):
+                kernel = rng.standard_normal((channels, k, k))
+                got = conv2d_affine(kernel, 0.25, (channels, *plane), stride=stride, pad=pad)
+                expected = loop_conv2d_affine(kernel, 0.25, (channels, *plane), stride=stride, pad=pad)
+                assert got[0].shape == expected[0].shape
+                assert got[0].tobytes() == expected[0].tobytes()
+                assert got[1].tobytes() == expected[1].tobytes()
+
+
+@pytest.mark.parametrize(
+    "kernel_shape, in_shape, stride, pad, name",
+    [
+        ((1, 3, 3), (1, 5, 5), 0, 0, "stride"),
+        ((1, 3, 3), (1, 5, 5), -1, 0, "stride"),
+        ((1, 3, 3), (1, 5, 5), 1, -1, "pad"),
+        ((1, 3, 3), (1, 1, 1), 1, 0, "in_shape"),
+        ((1, 3, 3), (1, 5, 2), 1, 0, "in_shape"),
+        ((3, 3), (1, 5, 5), 1, 0, "kernel"),
+        ((2, 3, 3), (1, 5, 5), 1, 0, "kernel"),
+    ],
+)
+def test_conv2d_affine_rejects_bad_arguments(kernel_shape, in_shape, stride, pad, name):
+    with pytest.raises(ValueError, match=name):
+        conv2d_affine(np.ones(kernel_shape), 0.0, in_shape, stride=stride, pad=pad)
+
+
 def test_lenet5_dimensions_and_levels():
     dag = build_lenet5(seed=0)
     assert validate(dag).ok

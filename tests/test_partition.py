@@ -1,3 +1,6 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from unrectify import (
     ActivationAffine,
     CpwlSpec,
     NotPiecewiseAffineError,
+    PartitionStats,
     PoolSpec,
     Transform,
     TransformAffine,
@@ -733,3 +737,187 @@ def test_affine_piece_equals_composition_through_the_identity():
 def test_affine_piece_equals_composition_on_lenet5():
     dag = build_lenet5(seed=0)
     _assert_piece_equals_composition(dag, np.random.default_rng(36).uniform(0.0, 1.0, 784))
+
+
+def split_regions(labels):
+    """Regions of two or more samples found by ``np.split`` of the stably
+    sorted labels at every change, as the grouping was first written; kept
+    as an oracle."""
+    order = np.argsort(labels, kind="stable")
+    groups = np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
+    return [g for g in groups if len(g) >= 2]
+
+
+def loop_partition_stats(dag, node, xs, pair_cap=1_000_000, seed=0):
+    """``partition_stats`` as one ``max_pairwise_distance`` call per region
+    of ``split_regions``; kept as an oracle."""
+    labels, count = _region_labels(dag, node, xs)
+    sizes = np.bincount(labels, minlength=count)
+    results = [max_pairwise_distance(xs[g], pair_cap=pair_cap, seed=seed) for g in split_regions(labels)]
+    return PartitionStats(
+        region_count=count,
+        max_points_per_region=int(sizes.max()),
+        max_intra_region_distance=max((d for d, _ in results), default=0.0),
+        multi_member_point_count=int(sizes[sizes >= 2].sum()),
+        distance_pairs_subsampled=any(flag for _, flag in results),
+    )
+
+
+def walk_violations(la, lb):
+    """The refinement violations of fine labels ``la`` over coarse labels
+    ``lb`` as the region walk names them: per fine region in label order,
+    its first sample and its first sample of another coarse label, at most
+    eight; kept as an oracle."""
+    violations = []
+    for chunk in split_regions(la):
+        other = np.flatnonzero(lb[chunk] != lb[chunk[0]])
+        if len(other):
+            violations.append((int(chunk[0]), int(chunk[other[0]])))
+            if len(violations) == 8:
+                break
+    return tuple(violations)
+
+
+def test_shared_regions_equal_split_runs():
+    rng = np.random.default_rng(38)
+    for n, count in ((1, 1), (7, 7), (50, 1), (1000, 30), (1000, 900)):
+        labels = np.unique(rng.integers(0, count, n), return_inverse=True)[1]
+        got = partition._shared_regions(labels)
+        expected = split_regions(labels)
+        assert len(got) == len(expected)
+        assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+
+
+def test_partition_stats_equal_region_loop_on_fusion_stacks():
+    for seed in (0, 1, 2):
+        rng = np.random.default_rng(40 + seed)
+        d = 4 + 2 * seed
+        lw = [tuple(rng.standard_normal(shape) for shape in ((d, d), d, (d, d), d)) for _ in range(3)]
+        dag = build_fusion_stack(lw, mode="probe")
+        xs = rng.standard_normal((1500, d))
+        _, trace = forward_batch(dag, xs)
+        for node in range(len(dag.nodes)):
+            assert partition_stats(dag, node, xs, trace=trace) == loop_partition_stats(dag, node, xs), node
+
+
+def test_partition_stats_equal_region_loop_on_lenet5_probes():
+    # 784-wide rows: only regions of up to five points are pooled
+    dag = build_lenet5(seed=0)
+    rng = np.random.default_rng(39)
+    protos = rng.uniform(0.0, 1.0, (4, 784))
+    images = protos[rng.integers(0, 4, 40)]
+    images = images + rng.choice([0.0, 1e-4, 1e-2, 0.3], (40, 1)) * rng.standard_normal((40, 784))
+    _, trace = forward_batch(dag, images)
+    probes = lenet5_probe_nodes(dag)
+    for node in (probes[3][0], probes[4][0], probes[7][5], probes[8][0]):
+        stats = partition_stats(dag, node, images, trace=trace)
+        assert stats == loop_partition_stats(dag, node, images)
+        assert stats.multi_member_point_count > 0
+
+
+def orthant_points(rng, sizes):
+    """``sizes[k]`` points in the k-th orthant of R^4, so a ReLU layer's
+    regions hold exactly those counts."""
+    signs = np.array(list(itertools.product((-1.0, 1.0), repeat=4)))
+    return np.vstack([signs[k] * (0.01 + rng.random((m, 4))) for k, m in enumerate(sizes)])
+
+
+def test_partition_stats_pools_regions_by_the_direct_threshold(monkeypatch):
+    # at row width 4, 64 points give 2,016 pairs, 8,064 entries, within
+    # DIRECT_ENTRIES; 65 points give 2,080 pairs, above it
+    net = relu_layer(4)
+    xs = orthant_points(np.random.default_rng(42), [0, 1, 2, 3, 5, 64, 65, 200, 2, 9])
+    swept = []
+
+    def recording(points, pair_cap=1_000_000, seed=0):
+        swept.append(len(points))
+        return max_pairwise_distance(points, pair_cap=pair_cap, seed=seed)
+
+    for cap, expected_swept in ((None, [65, 200]), (1_000_000, [65, 200]), (100, [64, 65, 200])):
+        oracle = loop_partition_stats(net, 1, xs, pair_cap=cap, seed=5)
+        assert oracle.distance_pairs_subsampled == (cap == 100)
+        monkeypatch.setattr(partition, "max_pairwise_distance", recording)
+        for mode in PAIR_SWEEP_MODES:
+            set_pair_sweep_mode(monkeypatch, *mode)
+            swept.clear()
+            assert partition_stats(net, 1, xs, pair_cap=cap, seed=5) == oracle, (cap, mode)
+            if mode == PAIR_SWEEP_MODES[0]:  # the constants as shipped
+                assert sorted(swept) == expected_swept, cap
+        monkeypatch.undo()
+
+
+def test_partition_stats_edge_cases_equal_region_loop():
+    rng = np.random.default_rng(43)
+    net = relu_layer(4)
+    spread = orthant_points(rng, [1] * 16)
+    cases = {
+        "one sample": spread[:1],
+        "all singletons": spread,
+        "one region of all": np.abs(rng.standard_normal((90, 4))),
+        "duplicated rows": np.vstack([spread, spread[:5], spread[3:4], spread[3:4]]),
+        "duplicates only": np.repeat(spread[:6], 3, axis=0),
+    }
+    for name, xs in cases.items():
+        for cap in (None, 2):
+            assert partition_stats(net, 1, xs, pair_cap=cap) == loop_partition_stats(net, 1, xs, cap), name
+    assert partition_stats(net, 1, spread).max_intra_region_distance == 0.0
+    assert partition_stats(net, 1, cases["duplicates only"]).max_intra_region_distance == 0.0
+
+
+def test_partition_stats_pooled_pairs_memory_stays_flat():
+    # 800 regions of 25 points, 240,000 pooled pairs of 20-wide rows: the
+    # gathered row differences alone would take 38 MB at once, and chunks
+    # of PAIR_BLOCK entries keep the call near 10 MB
+    rng = np.random.default_rng(44)
+    weight = np.zeros((58, 20))
+    weight[:39, 0] = weight[39:, 1] = 1.0
+    bias = -np.concatenate([np.arange(1, 40), np.arange(1, 20)]).astype(float)
+    net = series(identity_dag(20), ActivationAffine(relu_spec(), weight, bias))
+    cells = np.repeat(np.array(list(itertools.product(range(40), range(20)))), 25, axis=0)
+    xs = rng.standard_normal((20_000, 20))
+    xs[:, :2] = cells + rng.uniform(0.1, 0.9, (20_000, 2))
+    _, trace = forward_batch(net, xs)
+    partition._region_labels(net, 1, xs, trace=trace)  # the arc codes go into the trace's table
+    tracemalloc.start()
+    try:
+        stats = partition_stats(net, 1, xs, trace=trace)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (stats.region_count, stats.max_points_per_region) == (800, 25)
+    assert stats == loop_partition_stats(net, 1, xs)
+    assert peak < 16e6
+
+
+@pytest.mark.parametrize("sizes", [(3, 3), (40, 2), (150, 7), (300, 300)])
+def test_check_refinement_names_violations_as_the_region_walk(monkeypatch, sizes):
+    # a coarse node in the fine node's closure cannot be violated, so the
+    # labels are crafted: random ones, one refining pair, and that pair with
+    # one sample moved to another coarse label
+    demo = build_demo_network()
+    fine, coarse = demo.labels["a"], demo.labels["c"]
+    rng = np.random.default_rng(sum(sizes))
+    xs = rng.standard_normal((300, 3))
+
+    def dense(labels):
+        return np.unique(labels, return_inverse=True)[1]
+
+    la = dense(rng.integers(0, sizes[0], 300))
+    lb = dense(rng.integers(0, sizes[1], 300))
+    refining = dense(la // 2)
+    moved = refining.copy()
+    moved[split_regions(la)[-1][-1]] = refining.max() + 1
+    labels = {fine: la}
+
+    def crafted(dag, node, xs, trace=None):
+        return labels[node], int(labels[node].max()) + 1
+
+    monkeypatch.setattr(partition, "_region_labels", crafted)
+    for coarse_labels in (lb, refining, moved):
+        labels[coarse] = coarse_labels
+        report = check_refinement(demo, fine, coarse, xs)
+        expected = walk_violations(la, coarse_labels)
+        assert report.violations == expected
+        assert report.ok == (not expected)
+        assert report.fine_region_count == la.max() + 1
+        assert report.coarse_region_count == coarse_labels.max() + 1
