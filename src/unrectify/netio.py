@@ -2,7 +2,10 @@
 
 Top level: ``{"input_dim": n, "nodes": [...], "arcs": [...]}`` plus an
 optional ``output_node`` (otherwise the unique sink is the output) and an
-optional ``labels`` map.  Matrices are nested row-major arrays.  See
+optional ``labels`` map.  A weight with fewer than half of its entries
+nonzero is written sparse, as ``{"shape": [m, n], "index": [...],
+"values": [...]}`` with strictly increasing flat row-major positions; every
+other matrix is a nested row-major array.  Both forms load.  See
 docs/network_format.md for the full schema.
 
 Loading is permissive about graph semantics (cycles, dimension faults) so
@@ -58,10 +61,20 @@ def _transform_to_dict(spec: TransformSpec) -> dict:
     return data
 
 
+def _matrix_to(w: np.ndarray):
+    """Nested rows, or the sparse form when fewer than half the entries are
+    nonzero.  Positions are taken from the bits, so a -0.0 is kept."""
+    flat = np.ravel(w)
+    index = np.flatnonzero(flat.view(np.int64))
+    if 2 * len(index) >= flat.size:
+        return w.tolist()
+    return {"shape": list(w.shape), "index": index.tolist(), "values": flat[index].tolist()}
+
+
 def element_to_dict(elem: ArcElement) -> dict:
     data: dict[str, Any] = {"kind": elem.kind}
     if elem.weight is not None:
-        data["W"] = elem.weight.tolist()
+        data["W"] = _matrix_to(elem.weight)
     if elem.bias is not None and np.any(elem.bias):
         data["b"] = elem.bias.tolist()
     if elem.act is not None:
@@ -88,7 +101,47 @@ def _int(value, where: str) -> int:
     return int(value)
 
 
+def _sparse_from(data: dict, where: str) -> np.ndarray:
+    """Dense array of a sparse weight; finite values are ArcElement's check."""
+    shape, index, values = (_need(data, key, where) for key in ("shape", "index", "values"))
+    if not isinstance(shape, list) or len(shape) != 2:
+        raise NetworkFormatError(f"{where}.shape: must be [rows, columns], got {shape!r}")
+    m, n = (_int(v, f"{where}.shape") for v in shape)
+    if m < 1 or n < 1:
+        raise NetworkFormatError(f"{where}.shape: must be positive, got {[m, n]}")
+    if not isinstance(index, list) or not isinstance(values, list):
+        raise NetworkFormatError(f"{where}: index and values must be arrays")
+    if len(index) != len(values):
+        raise NetworkFormatError(f"{where}.values: {len(values)} values for {len(index)} index entries")
+    if not set(map(type, index)) <= {int, float}:
+        bad = next(v for v in index if type(v) not in (int, float))
+        raise NetworkFormatError(f"{where}.index: must hold integers, got {bad!r}")
+    out_of_range = NetworkFormatError(f"{where}.index: positions must lie in [0, {m * n})")
+    try:
+        flat = np.array(index, dtype=float)
+    except OverflowError:
+        raise out_of_range from None
+    fractional = flat != np.floor(flat)
+    if fractional.any():
+        raise NetworkFormatError(f"{where}.index: must hold integers, got {index[fractional.argmax()]!r}")
+    if np.any(np.diff(flat) <= 0):
+        raise NetworkFormatError(f"{where}.index: must be strictly increasing")
+    if len(flat) and (flat[0] < 0 or flat[-1] >= m * n):
+        raise out_of_range
+    try:
+        vals = np.array(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise NetworkFormatError(f"{where}.values: not numeric ({exc})") from None
+    if vals.ndim != 1:
+        raise NetworkFormatError(f"{where}.values: must be a flat array of numbers")
+    arr = np.zeros(m * n)
+    arr[flat.astype(np.int64)] = vals
+    return arr.reshape(m, n)
+
+
 def _matrix_from(data, where: str) -> np.ndarray:
+    if isinstance(data, dict):
+        return _sparse_from(data, where)
     try:
         arr = np.array(data, dtype=float)
     except (TypeError, ValueError) as exc:

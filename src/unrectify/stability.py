@@ -21,6 +21,7 @@ therefore never rests on a norm rounded low.
 """
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -85,6 +86,11 @@ def spectral_norm(w) -> float:
     return float(np.sqrt(max(top, 0.0) + margin))
 
 
+# spectral norm of each live element's weight: elements are immutable, so a
+# norm that certify computed serves rescale_to_stability and later certifies
+_SPECTRAL: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def _arc_norms(dag: Dag, norm: str) -> dict[int, float]:
     """Weight-norm factor of every arc by arc id; weightless arcs count one."""
     out = {}
@@ -93,7 +99,9 @@ def _arc_norms(dag: Dag, norm: str) -> dict[int, float]:
         if w is None:
             out[arc.id] = 1.0
         elif norm == "spectral":
-            out[arc.id] = spectral_norm(w)
+            if arc.elem not in _SPECTRAL:
+                _SPECTRAL[arc.elem] = spectral_norm(w)
+            out[arc.id] = _SPECTRAL[arc.elem]
         else:
             out[arc.id] = float(np.linalg.norm(w, "fro"))
     return out

@@ -1,9 +1,11 @@
-"""Shared test helpers: independent oracles and random generators."""
+"""Shared test helpers: independent oracles, random generators and the
+saved LeNet-5 file."""
 from __future__ import annotations
 
 import struct
 
 import numpy as np
+import pytest
 
 from unrectify import (
     Activation,
@@ -12,10 +14,12 @@ from unrectify import (
     CpwlSpec,
     Identity,
     Linear,
+    build_lenet5,
     concatenate,
     duplicate,
     identity_dag,
     relu_spec,
+    save_network,
     series,
     stability,
 )
@@ -153,3 +157,12 @@ PAIR_SWEEP_MODES = (
 def set_pair_sweep_mode(monkeypatch, block: int, direct: int) -> None:
     monkeypatch.setattr(stability, "PAIR_BLOCK", block)
     monkeypatch.setattr(stability, "DIRECT_ENTRIES", direct)
+
+
+@pytest.fixture(scope="session")
+def lenet5_file(tmp_path_factory):
+    """``build_lenet5(seed=0)`` and the network file it was saved to."""
+    dag = build_lenet5(seed=0)
+    path = tmp_path_factory.mktemp("lenet5") / "lenet5.json"
+    save_network(dag, path)
+    return dag, path

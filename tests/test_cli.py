@@ -7,6 +7,9 @@ from unrectify import (
     build_demo_network,
     build_fusion_module,
     build_series_stack,
+    certify,
+    conv2d_affine,
+    rescale_to_stability,
     save_network,
     svd_spectral_norm,
 )
@@ -81,6 +84,54 @@ def test_rescale_writes_certified_network(tmp_path, capsys):
     save_network(net, src)
     assert main(["rescale", str(src), "--out", str(dst), "--frobenius"]) == 0
     assert main(["certify", str(dst)]) == 0
+
+
+def _certify_lines(report):
+    """What ``unrectify certify`` prints for ``report``."""
+    rows = [
+        f"{e.level},{e.sum:.12g},{e.frob_sum:.12g},{report.certified_C[e.level]:.12g}"
+        for e in report.level_sums
+    ]
+    return [
+        f"uniform bound d = {report.d:g}",
+        "level,sum,frob_sum,certified_C",
+        *rows,
+        f"stable from level: {report.stable_from}",
+        report.verdict,
+    ]
+
+
+def test_certify_reads_the_sparse_lenet5_file(lenet5_file, tmp_path, capsys):
+    dag, path = lenet5_file
+    report = certify(dag)
+    assert main(["certify", str(path)]) == (0 if report.certified else 1)
+    assert capsys.readouterr().out.splitlines() == _certify_lines(report)
+    # its pool-and-concat levels carry unit arcs only, so no rescale helps
+    out = tmp_path / "scaled.json"
+    assert main(["rescale", str(path), "--out", str(out)]) == 2
+    assert "level 2: unit arc contributions" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_rescale_writes_sparse_weights_that_certify_reads_back(tmp_path, capsys):
+    rng = np.random.default_rng(6)
+    net = build_series_stack(
+        [
+            conv2d_affine(rng.standard_normal((1, 5, 5)), 0.0, (1, 12, 12), pad=2)[0] * scale
+            for scale in (3.0, 0.2, 2.0)
+        ]
+    )
+    src = tmp_path / "net.json"
+    dst = tmp_path / "scaled.json"
+    save_network(net, src)
+    assert main(["rescale", str(src), "--out", str(dst)]) == 0
+    written = json.loads(dst.read_text())
+    assert all(isinstance(a["elem"]["W"], dict) for a in written["arcs"])
+    capsys.readouterr()
+    report = certify(rescale_to_stability(net))
+    assert report.certified
+    assert main(["certify", str(dst)]) == 0
+    assert capsys.readouterr().out.splitlines() == _certify_lines(report)
 
 
 def test_regions_2d_command(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -61,6 +62,16 @@ def test_roundtrip_every_element_kind():
     assert_same_function(g, again, rng)
 
 
+def assert_same_arrays(a, b):
+    """Every weight and bias of ``b`` equals the one of ``a`` by ``==``."""
+    assert len(a.arcs) == len(b.arcs)
+    for x, y in zip(a.arcs, b.arcs):
+        for p, q in ((x.elem.weight, y.elem.weight), (x.elem.bias, y.elem.bias)):
+            assert (p is None) == (q is None)
+            if p is not None:
+                assert p.shape == q.shape and np.array_equal(p, q)
+
+
 def test_roundtrip_random_graphs(tmp_path):
     rng = np.random.default_rng(2)
     for i in range(5):
@@ -69,7 +80,70 @@ def test_roundtrip_random_graphs(tmp_path):
         save_network(dag, path)
         again = load_network(path)
         assert validate(again).ok
+        assert_same_arrays(dag, again)
         assert_same_function(dag, again, rng)
+
+
+def _sparsified(dag, rng):
+    """The graph with about three in four weight entries zeroed, some as -0.0."""
+    arcs = []
+    for arc in dag.arcs:
+        elem = arc.elem
+        if elem.weight is not None:
+            w = np.where(rng.random(elem.weight.shape) < 0.75, 0.0, elem.weight)
+            w[rng.random(w.shape) < 0.1] = -0.0
+            elem = replace(elem, weight=w)
+        arcs.append(replace(arc, elem=elem))
+    return replace(dag, arcs=tuple(arcs))
+
+
+def test_roundtrip_sparse_weights_bit_for_bit(tmp_path):
+    rng = np.random.default_rng(21)
+    for i in range(5):
+        dag = _sparsified(random_valid_dag(rng), rng)
+        path = tmp_path / f"net{i}.json"
+        save_network(dag, path)
+        written = json.loads(path.read_text())
+        assert any(isinstance(a["elem"].get("W"), dict) for a in written["arcs"])
+        again = load_network(path)
+        assert_same_arrays(dag, again)
+        for x, y in zip(dag.arcs, again.arcs):
+            if x.elem.weight is not None:
+                assert np.array_equal(np.signbit(x.elem.weight), np.signbit(y.elem.weight))
+        assert_same_function(dag, again, rng)
+
+
+def test_writer_picks_sparse_below_half_nonzero():
+    w = np.random.default_rng(22).standard_normal((4, 4))
+    assert dag_to_dict(series(identity_dag(4), Linear(w)))["arcs"][0]["elem"]["W"] == w.tolist()
+    half = np.where(np.arange(16).reshape(4, 4) < 8, w, 0.0)
+    assert dag_to_dict(series(identity_dag(4), Linear(half)))["arcs"][0]["elem"]["W"] == half.tolist()
+    fewer = np.where(np.arange(16).reshape(4, 4) % 3 == 0, w, 0.0)
+    stored = dag_to_dict(series(identity_dag(4), Linear(fewer)))["arcs"][0]["elem"]["W"]
+    assert stored == {
+        "shape": [4, 4],
+        "index": [0, 3, 6, 9, 12, 15],
+        "values": [float(v) for v in w.reshape(-1)[::3]],
+    }
+
+
+def test_lenet5_roundtrips_weight_for_weight(lenet5_file):
+    dag, path = lenet5_file
+    written = json.loads(path.read_text())
+    sparse = [a["elem"]["W"] for a in written["arcs"] if isinstance(a["elem"].get("W"), dict)]
+    assert sparse and all(len(w["index"]) * 2 < w["shape"][0] * w["shape"][1] for w in sparse)
+    again = load_network(path)
+    assert validate(again).ok
+    assert_same_arrays(dag, again)
+
+
+def test_dense_lenet5_file_loads_to_the_same_arrays(lenet5_file):
+    dag, path = lenet5_file
+    data = dag_to_dict(dag)
+    for arc, entry in zip(dag.arcs, data["arcs"]):
+        if arc.elem.weight is not None:
+            entry["elem"]["W"] = arc.elem.weight.tolist()
+    assert_same_arrays(load_network(path), dag_from_dict(data))
 
 
 def test_output_role_alias_and_sink_inference():
@@ -177,6 +251,12 @@ def _small_network():
     }
 
 
+def _sparse_weight(**fields):
+    """Replace the arc's element by a 2x2 linear map with a sparse weight."""
+    weight = {"shape": [2, 2], "index": [0, 3], "values": [1.0, 2.0], **fields}
+    return _set(("arcs", 0, "elem"), {"kind": "linear", "W": weight})
+
+
 def _set(path, value):
     def edit(data):
         target = data
@@ -205,11 +285,27 @@ def _set(path, value):
             _set(("arcs", 0, "elem"), {"kind": "activation", "pool": {"kind": "maxlu", "block": 2.9}}),
             r"arcs\[0\]\.elem\.pool\.block",
         ),
+        (_sparse_weight(index=[0, 1.5]), r"arcs\[0\]\.elem\.W\.index"),
+        (_sparse_weight(index=[0, True]), r"arcs\[0\]\.elem\.W\.index"),
+        (_sparse_weight(index=[0, "3"]), r"arcs\[0\]\.elem\.W\.index"),
+        (_sparse_weight(index=[-1, 3]), r"arcs\[0\]\.elem\.W\.index"),
+        (_sparse_weight(index=[0, 4]), r"arcs\[0\]\.elem\.W\.index"),
+        (_sparse_weight(index=[3, 3]), r"arcs\[0\]\.elem\.W\.index"),
+        (_sparse_weight(index=[3, 0]), r"arcs\[0\]\.elem\.W\.index"),
+        (_sparse_weight(values=[1.0, 2.0, 3.0]), r"arcs\[0\]\.elem\.W\.values"),
+        (_sparse_weight(shape=[3]), r"arcs\[0\]\.elem\.W\.shape"),
+        (_sparse_weight(shape=[0, 2]), r"arcs\[0\]\.elem\.W\.shape"),
+        (_sparse_weight(shape=[2.5, 2]), r"arcs\[0\]\.elem\.W\.shape"),
+        (_sparse_weight(values=[1.0, float("nan")]), r"arcs\[0\]\.elem: weight entries must be finite"),
     ],
     ids=[
         "node_entry", "node_id", "arc_src", "arc_elem",
         "labels", "label_value", "output_node", "concat_order",
         "fractional_input_dim", "fractional_node_id", "boolean_arc_dst", "fractional_pool_block",
+        "sparse_fractional_index", "sparse_boolean_index", "sparse_string_index",
+        "sparse_negative_index", "sparse_index_past_end", "sparse_repeated_index",
+        "sparse_decreasing_index", "sparse_length_mismatch", "sparse_one_axis_shape",
+        "sparse_empty_shape", "sparse_fractional_shape", "sparse_nan_value",
     ],
 )
 def test_malformed_fields_are_named(edit, field):
@@ -227,6 +323,14 @@ def test_integral_numbers_load_as_integers():
     dag = dag_from_dict(data)
     assert validate(dag).ok
     assert dag_to_dict(dag) == dag_to_dict(dag_from_dict(_small_network()))
+
+    data = _small_network()
+    data["input_dim"] = data["arcs"][0]["in_dim"] = 3
+    weight = {"shape": [2.0, 3.0], "index": [1.0, 5], "values": [4.0, -1.0]}
+    data["arcs"][0]["elem"] = {"kind": "linear", "W": weight}
+    dag = dag_from_dict(data)
+    assert validate(dag).ok
+    assert np.array_equal(dag.arcs[0].elem.weight, [[0.0, 4.0, 0.0], [0.0, 0.0, -1.0]])
 
 
 def test_kind_strings_of_the_element_factories():

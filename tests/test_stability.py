@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from unrectify import (
     spectral_norm,
     svd_spectral_norm,
 )
+from unrectify import stability
 from unrectify.elements import linear_part
 from unrectify.stability import SUM_TOLERANCE, _level_value_matrices, _max_pair_ratios
 
@@ -552,3 +554,54 @@ def test_gain_of_a_graph_of_its_input_alone(budget):
     assert (curve.pairs_used, curve.pairs_subsampled) == (used, subsampled)
     report = soundness_check(dag, xs, pair_budget=budget, seed=3)
     assert report.ok and report.gain_curve == curve
+
+
+def _fresh_elements(dag):
+    """The same graph with every element rebuilt, so no norm is remembered."""
+    arcs = tuple(replace(a, elem=replace(a.elem)) for a in dag.arcs)
+    return replace(dag, arcs=arcs)
+
+
+def _mixed_fusion_stack():
+    """Compact fusion stack whose odd layers exceed the budget."""
+    rng = np.random.default_rng(42)
+    layer_w = [
+        (scaled_matrix(rng, (5, 5), a), None, scaled_matrix(rng, (5, 5), a), None)
+        for a in (1.5, 0.2, 2.0, 0.3)
+    ]
+    return build_fusion_stack(layer_w, mode="compact")
+
+
+def test_each_distinct_weight_norm_is_computed_once(monkeypatch):
+    computed = []
+    real = stability.spectral_norm
+    monkeypatch.setattr(stability, "spectral_norm", lambda w: computed.append(w) or real(w))
+    dag = _mixed_fusion_stack()
+    first = certify(dag)
+    scaled = rescale_to_stability(dag)
+    second = certify(scaled)
+    assert rescale_to_stability(scaled) is scaled
+    third = certify(scaled)
+    weights = {id(a.elem.weight) for g in (dag, scaled) for a in g.arcs if a.elem.weight is not None}
+    untouched = sum(a.elem is b.elem for a, b in zip(dag.arcs, scaled.arcs) if a.elem.weight is not None)
+    assert 0 < untouched < len(weights)
+    assert len(computed) == len(weights)
+    monkeypatch.undo()
+    assert certify(_fresh_elements(dag)) == first
+    assert certify(_fresh_elements(scaled)) == second == third
+
+
+def test_lenet5_norms_are_computed_once(monkeypatch):
+    # LeNet-5 cannot be rescaled: its pool-and-concat levels carry 6 and 16
+    # unit arcs; the failed rescale still reads the norms certify computed
+    computed = []
+    real = stability.spectral_norm
+    monkeypatch.setattr(stability, "spectral_norm", lambda w: computed.append(w) or real(w))
+    dag = build_lenet5(seed=0)
+    first = certify(dag)
+    with pytest.raises(ValueError, match="level 2: unit arc contributions"):
+        rescale_to_stability(dag)
+    assert certify(dag) == first
+    assert len(computed) == sum(a.elem.weight is not None for a in dag.arcs)
+    monkeypatch.undo()
+    assert certify(_fresh_elements(dag)) == first
