@@ -61,7 +61,6 @@ from .graph import (
     forward_batch,
     levels,
     series,
-    uniform_bound_of,
     validate,
 )
 from .idx import IdxDataset, IdxFormatError, load_idx

@@ -153,10 +153,6 @@ class UnRectifyingPattern:
     offsets: np.ndarray
     piece_ids: np.ndarray
 
-    def key(self) -> tuple[int, ...]:
-        """Hashable region identifier for this pattern."""
-        return tuple(int(i) for i in np.atleast_1d(self.piece_ids))
-
 
 def cpwl_eval(spec: CpwlSpec, x):
     """Evaluate the CPWL activation elementwise."""

@@ -45,7 +45,6 @@ __all__ = [
     "propagate",
     "forward",
     "forward_batch",
-    "uniform_bound_of",
 ]
 
 ROLE_INPUT = "input"
@@ -392,11 +391,6 @@ def forward_batch(dag: Dag, xs) -> tuple[np.ndarray, Trace]:
     return trace[dag.output_node], trace
 
 
-def uniform_bound_of(dag: Dag) -> float:
-    """Uniform nonlinearity gain bound over every element used in the graph."""
-    return el.uniform_bound(arc.elem for arc in dag.arcs)
-
-
 class GraphBuilder:
     """Mutable scratch pad for assembling a Dag node by node."""
 
@@ -431,8 +425,8 @@ class GraphBuilder:
         self._incoming[dst].append(aid)
         return aid
 
-    def add_relay(self, src: int, elem: el.ArcElement, role: str = ROLE_RELAY) -> int:
-        nid = self.add_node(role)
+    def add_relay(self, src: int, elem: el.ArcElement) -> int:
+        nid = self.add_node(ROLE_RELAY)
         self.connect(src, nid, elem)
         return nid
 

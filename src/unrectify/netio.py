@@ -151,7 +151,7 @@ def _matrix_from(data, where: str) -> np.ndarray:
     return arr
 
 
-def _act_from_dict(data: dict, in_dim: int, where: str):
+def _act_from_dict(data: dict, where: str):
     if "pool" in data:
         pool = data["pool"]
         kind = _need(pool, "kind", f"{where}.pool")
@@ -189,10 +189,10 @@ def element_from_dict(data: dict, in_dim: int, where: str) -> ArcElement:
         if kind == "affine":
             return Affine(_matrix_from(_need(data, "W", where), f"{where}.W"), data.get("b"))
         if kind == "activation":
-            return Activation(_act_from_dict(data, in_dim, where), in_dim)
+            return Activation(_act_from_dict(data, where), in_dim)
         if kind == "activation_affine":
             w = _matrix_from(_need(data, "W", where), f"{where}.W")
-            return ActivationAffine(_act_from_dict(data, w.shape[0], where), w, data.get("b"))
+            return ActivationAffine(_act_from_dict(data, where), w, data.get("b"))
         if kind == "transform":
             return Transform(_transform_from_dict(_need(data, "transform", where), f"{where}.transform"), in_dim)
         if kind == "transform_affine":

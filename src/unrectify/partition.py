@@ -183,10 +183,12 @@ def _shared_regions(labels: np.ndarray) -> list[np.ndarray]:
 
 
 def region_code(dag: Dag, node_id: int, x) -> RegionCode:
-    """Region code of one input at one node."""
-    xs = np.asarray(x, dtype=float).reshape(1, -1)
+    """Region code of one input at one node, read from a one-row batch."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (dag.input_dim,):
+        raise ValueError(f"input must have shape ({dag.input_dim},), got {x.shape}")
     arcs = _pattern_arcs(dag, node_id)
-    trace = _evaluate(dag, xs, node_id, batch=True)
+    trace = _evaluate(dag, x[None], node_id, batch=True)
     # CPWL patterns carry one id per coordinate, pool patterns one per block;
     # both equal the arc's output dimension.
     segments = tuple(tuple(_arc_pattern(arc, trace[arc.src])[0].tolist()) for arc in arcs)
@@ -285,6 +287,8 @@ def max_pairwise_distance(
     ``np.linalg.norm(pts[j] - pts[i], axis=1)`` bit for bit; above the cap a
     seeded uniform sample of ``pair_cap`` pairs gives a lower estimate.
     """
+    if pair_cap is not None and pair_cap < 1:
+        raise ValueError(f"pair_cap must be at least 1, got {pair_cap}")
     pts = np.asarray(points, dtype=float)
     if len(pts) < 2:
         return 0.0, False
@@ -315,6 +319,8 @@ def partition_stats(
     xs = np.asarray(samples, dtype=float)
     if len(xs) == 0:
         raise ValueError("partition statistics need at least one sample")
+    if pair_cap is not None and pair_cap < 1:
+        raise ValueError(f"pair_cap must be at least 1, got {pair_cap}")
     labels_arr, n_regions = _region_labels(dag, node_id, xs, trace=trace)
     sizes = np.bincount(labels_arr, minlength=n_regions)
 

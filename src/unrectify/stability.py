@@ -9,10 +9,11 @@ Lipschitz value of the level-n stacked function follows the recursion
 where identity, duplication, and bare-activation arcs contribute a unit
 factor and bias terms drop out of differences.  If every level from some m
 onward satisfies d * sum ||W_ab||_2 <= 1, the running maximum of C stops
-growing and the network is certified stable.  The recursion sums channel
-contributions at concatenations; a root-sum-square combination would be
-tighter, but the summed form is the one the certificate is proven for, so
-the certifier keeps it.
+growing and the network is certified stable.  ``certify`` forms the level
+sums, C(n) and the stable suffix in one pass over the arcs grouped by level.
+The recursion sums channel contributions at concatenations; a
+root-sum-square combination would be tighter, but the summed form is the
+one the certificate is proven for, so the certifier keeps it.
 
 Every ||W||_2 is an upper bound, not an estimate: the top eigenvalue of the
 smaller Gram matrix G from a symmetric eigensolve, plus the rounding margin
@@ -27,8 +28,8 @@ from typing import Optional
 
 import numpy as np
 
-from .elements import ArcElement
-from .graph import Arc, Dag, forward_batch, levels, uniform_bound_of
+from .elements import uniform_bound
+from .graph import Arc, Dag, forward_batch, levels
 
 __all__ = [
     "LevelSum",
@@ -146,11 +147,12 @@ class SoundnessReport:
     stability: StabilityReport
 
 
-def _arcs_by_level(dag: Dag) -> tuple[dict[int, int], dict[int, list[Arc]]]:
+def _arcs_by_level(dag: Dag) -> tuple[dict[int, int], list[list[Arc]]]:
+    """Level of every node, and the arcs into each level 0..L in arc-id order."""
     lvl = levels(dag)
-    per_level: dict[int, list[Arc]] = {}
+    per_level: list[list[Arc]] = [[] for _ in range(max(lvl.values()) + 1)]
     for arc in dag.arcs:
-        per_level.setdefault(lvl[arc.dst], []).append(arc)
+        per_level[lvl[arc.dst]].append(arc)
     return lvl, per_level
 
 
@@ -160,60 +162,40 @@ def level_sums(dag: Dag, d: Optional[float] = None) -> list[LevelSum]:
     Only the linear part of each arc enters; biases cancel in differences.
     Identity, duplication, and bare activation or transform arcs count 1.
     """
-    dag.require_valid()
-    if d is None:
-        d = uniform_bound_of(dag)
-    return _level_sums(dag, d, _arc_norms(dag, "spectral"))
-
-
-def _level_sums(dag: Dag, d: float, spectral: dict[int, float]) -> list[LevelSum]:
-    lvl, per_level = _arcs_by_level(dag)
-    frob = _arc_norms(dag, "frobenius")
-    out = []
-    for n in range(1, max(lvl.values()) + 1):
-        arcs = per_level.get(n, [])
-        spec_total = d * sum(spectral[a.id] for a in arcs)
-        frob_total = d * sum(frob[a.id] for a in arcs)
-        out.append(LevelSum(level=n, sum=spec_total, frob_sum=frob_total))
-    return out
+    return list(certify(dag, d).level_sums)
 
 
 def certify(dag: Dag, d: Optional[float] = None) -> StabilityReport:
     """Certify stability: level sums, the first all-suffix-stable level, and
-    the certified Lipschitz recursion values.  Each arc's spectral norm is
-    computed once and shared by the level sums and the recursion."""
+    the certified Lipschitz recursion values, in one pass over the levels;
+    each arc's spectral norm is computed once and serves both."""
     dag.require_valid()
     if d is None:
-        d = uniform_bound_of(dag)
+        d = uniform_bound(arc.elem for arc in dag.arcs)
+    if not 0.0 <= d < np.inf:
+        raise ValueError(f"d must be finite and nonnegative, got {d}")
     spectral = _arc_norms(dag, "spectral")
-    sums = _level_sums(dag, d, spectral)
-    stable_from: Optional[int] = None
-    for entry in reversed(sums):
-        if entry.sum <= 1.0 + SUM_TOLERANCE:
-            stable_from = entry.level
-        else:
-            break
-
+    frob = _arc_norms(dag, "frobenius")
     lvl, per_level = _arcs_by_level(dag)
-    top = max(lvl.values())
-    c = [1.0] + [0.0] * top
-    for n in range(1, top + 1):
+    sums, c, stable_from = [], [1.0], None
+    for n, arcs in enumerate(per_level[1:], start=1):
+        spec_total = d * sum(spectral[a.id] for a in arcs)
+        frob_total = d * sum(frob[a.id] for a in arcs)
+        sums.append(LevelSum(level=n, sum=spec_total, frob_sum=frob_total))
         total = 0.0
-        for arc in per_level.get(n, []):
+        for arc in arcs:
             total += spectral[arc.id] * c[lvl[arc.src]]
-        c[n] = d * total
+        c.append(d * total)
+        if not spec_total <= 1.0 + SUM_TOLERANCE:
+            stable_from = None
+        elif stable_from is None:
+            stable_from = n
     return StabilityReport(
         d=float(d),
         level_sums=tuple(sums),
         stable_from=stable_from,
         certified_C=tuple(c),
     )
-
-
-def _scaled_element(elem: ArcElement, factor: float) -> ArcElement:
-    if elem.weight is None:
-        return elem
-    return replace(elem, weight=elem.weight * factor)
 
 
 def rescale_to_stability(dag: Dag, use_frobenius: bool = False) -> Dag:
@@ -227,14 +209,12 @@ def rescale_to_stability(dag: Dag, use_frobenius: bool = False) -> Dag:
     Only linear parts change; biases are preserved.
     """
     dag.require_valid()
-    d = uniform_bound_of(dag)
+    d = uniform_bound(arc.elem for arc in dag.arcs)
     norms = _arc_norms(dag, "frobenius" if use_frobenius else "spectral")
-    lvl, per_level = _arcs_by_level(dag)
-    top = max(lvl.values())
+    _, per_level = _arcs_by_level(dag)
 
     factors: dict[int, float] = {}
-    for n in range(1, top + 1):
-        arcs = per_level.get(n, [])
+    for n, arcs in enumerate(per_level[1:], start=1):
         unit_mass = d * sum(1.0 for a in arcs if a.elem.weight is None)
         weighted = d * sum(norms[a.id] for a in arcs if a.elem.weight is not None)
         total = unit_mass + weighted
@@ -251,34 +231,23 @@ def rescale_to_stability(dag: Dag, use_frobenius: bool = False) -> Dag:
 
     if not factors:
         return dag
-    new_arcs = tuple(
-        Arc(
-            a.id,
-            a.src,
-            a.dst,
-            _scaled_element(a.elem, factors[a.id]) if a.id in factors else a.elem,
-            a.in_dim,
-            a.out_dim,
-        )
+    arcs = tuple(
+        replace(a, elem=replace(a.elem, weight=a.elem.weight * factors[a.id])) if a.id in factors else a
         for a in dag.arcs
     )
-    out = Dag(dag.input_dim, dag.nodes, new_arcs, dag.output_node, dict(dag.labels))
+    out = replace(dag, arcs=arcs, labels=dict(dag.labels))
     out.require_valid()
     return out
 
 
 def _level_value_matrices(dag: Dag, xs: np.ndarray) -> list[np.ndarray]:
-    """Stacked node values per level, level 0 first (the input itself)."""
+    """Stacked node values per level, level 0 first (the input itself); the
+    nodes of level n >= 1 are the heads of its arcs, in id order."""
     _, trace = forward_batch(dag, xs)
-    lvl = levels(dag)
-    top = max(lvl.values())
-    per_level: dict[int, list[int]] = {}
-    for nid, n in lvl.items():
-        per_level.setdefault(n, []).append(nid)
-    out = []
-    for n in range(top + 1):
-        nodes = sorted(per_level[n])
-        out.append(np.concatenate([trace[nid] for nid in nodes], axis=1))
+    _, per_level = _arcs_by_level(dag)
+    out = [trace[0]]
+    for arcs in per_level[1:]:
+        out.append(np.concatenate([trace[nid] for nid in sorted({a.dst for a in arcs})], axis=1))
     return out
 
 
@@ -443,6 +412,8 @@ def empirical_gain(
         raise ValueError("empirical gain needs at least two samples")
     if not (xs != xs[0]).any():
         raise ValueError("empirical gain needs at least two distinct samples")
+    if pair_budget is not None and pair_budget < 1:
+        raise ValueError(f"pair_budget must be at least 1, got {pair_budget}")
     values = _level_value_matrices(dag, xs)
     # a graph of its input node alone still counts its pairs by the same rule
     gains, used, subsampled = _max_pair_ratios(values[1:] or values, xs, min_distance, pair_budget, seed)

@@ -168,6 +168,13 @@ def test_stability_gain_command_smoke(tmp_path, capsys):
     assert (tmp_path / "levels_rescaled.csv").read_text().splitlines()[0] == LEVEL_HEADER
 
 
+def test_stability_gain_rejects_an_empty_pair_budget(tmp_path, capsys):
+    rc = main(["stability-gain", "--dims", "4", "--layers", "2", "--samples", "60",
+               "--pair-budget", "0", "--out", str(tmp_path)])
+    assert rc == 2
+    assert "pair_budget must be at least 1, got 0" in capsys.readouterr().err
+
+
 def test_fusion_stack_two_samples(tmp_path):
     from unrectify.experiments import ExperimentConfig, run_fusion_stack
 

@@ -1,4 +1,5 @@
 import itertools
+import re
 import tracemalloc
 
 import numpy as np
@@ -921,3 +922,34 @@ def test_check_refinement_names_violations_as_the_region_walk(monkeypatch, sizes
         assert report.ok == (not expected)
         assert report.fine_region_count == la.max() + 1
         assert report.coarse_region_count == coarse_labels.max() + 1
+
+
+@pytest.mark.parametrize("value", [0, -4])
+def test_pair_caps_below_one_are_rejected(value):
+    net = relu_layer(2)
+    shared = np.random.default_rng(31).uniform(0.5, 1.5, size=(25, 2))  # one region
+    apart = np.array([[1.0, 1.0], [-1.0, 1.0], [1.0, -1.0]])  # no region shared
+    message = f"pair_cap must be at least 1, got {value}"
+    with pytest.raises(ValueError, match=message):
+        max_pairwise_distance(shared, pair_cap=value)
+    for xs in (shared, apart):
+        with pytest.raises(ValueError, match=message):
+            partition_stats(net, net.output_node, xs, pair_cap=value)
+    assert max_pairwise_distance(shared, pair_cap=1)[1]
+    assert partition_stats(net, net.output_node, apart, pair_cap=None).region_count == 3
+
+
+QUERIES = {
+    "region_code": region_code,
+    "affine_piece": affine_piece,
+    "forward": lambda dag, node, x: forward(dag, x),
+}
+
+
+@pytest.mark.parametrize("query", sorted(QUERIES))
+@pytest.mark.parametrize("shape", [(4,), (1, 3)])
+def test_single_input_queries_name_the_expected_shape(query, shape):
+    net = relu_layer(3)
+    message = re.escape(f"input must have shape (3,), got {shape}")
+    with pytest.raises(ValueError, match=message):
+        QUERIES[query](net, net.output_node, np.ones(shape))

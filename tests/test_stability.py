@@ -4,17 +4,23 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import PAIR_SWEEP_MODES, pair_sweep_sets, set_pair_sweep_mode
+from conftest import PAIR_SWEEP_MODES, pair_sweep_sets, random_valid_dag, set_pair_sweep_mode
 from unrectify import (
     Activation,
     ActivationAffine,
+    Arc,
+    Dag,
+    LevelSum,
     Linear,
+    StabilityReport,
+    build_demo_network,
     build_fusion_stack,
     build_lenet5,
     build_resnet_module,
     build_series_stack,
     certify,
     empirical_gain,
+    forward_batch,
     identity_dag,
     level_sums,
     levels,
@@ -25,6 +31,7 @@ from unrectify import (
     soundness_check,
     spectral_norm,
     svd_spectral_norm,
+    uniform_bound,
 )
 from unrectify import stability
 from unrectify.elements import linear_part
@@ -605,3 +612,206 @@ def test_lenet5_norms_are_computed_once(monkeypatch):
     assert len(computed) == sum(a.elem.weight is not None for a in dag.arcs)
     monkeypatch.undo()
     assert certify(_fresh_elements(dag)) == first
+
+
+@pytest.mark.parametrize("d", [-1.0, float("nan"), float("inf")])
+def test_certify_rejects_a_negative_or_non_finite_gain_bound(d):
+    net = build_series_stack([5 * np.eye(2)])
+    for call in (certify, level_sums):
+        with pytest.raises(ValueError, match=f"d must be finite and nonnegative, got {d}"):
+            call(net, d)
+    # a CPWL whose slopes cancel has bound 0, which certifies anything
+    assert certify(net, 0.0).certified and level_sums(net, 0.0)[0].sum == 0.0
+
+
+@pytest.mark.parametrize("budget", [0, -4])
+def test_empirical_gain_rejects_an_empty_pair_budget(budget):
+    net = series(identity_dag(2), ActivationAffine(relu_spec(), np.eye(2)))
+    xs = np.random.default_rng(17).standard_normal((25, 2))
+    with pytest.raises(ValueError, match=f"pair_budget must be at least 1, got {budget}"):
+        empirical_gain(net, xs, pair_budget=budget)
+    with pytest.raises(ValueError, match=f"pair_budget must be at least 1, got {budget}"):
+        soundness_check(net, xs, pair_budget=budget)
+
+
+# The certificate as it stood before it read one table of arcs by level:
+# level sums in one pass, the recursion in a second over a second grouping,
+# the rescaled graph built by hand, and level matrices grouped by node.  The
+# one-pass code must reproduce these bit for bit.
+
+
+def _oracle_arcs_by_level(dag):
+    lvl = levels(dag)
+    per_level = {}
+    for arc in dag.arcs:
+        per_level.setdefault(lvl[arc.dst], []).append(arc)
+    return lvl, per_level
+
+
+def _oracle_level_sums(dag, d, spectral):
+    lvl, per_level = _oracle_arcs_by_level(dag)
+    frob = stability._arc_norms(dag, "frobenius")
+    out = []
+    for n in range(1, max(lvl.values()) + 1):
+        arcs = per_level.get(n, [])
+        spec_total = d * sum(spectral[a.id] for a in arcs)
+        frob_total = d * sum(frob[a.id] for a in arcs)
+        out.append(LevelSum(level=n, sum=spec_total, frob_sum=frob_total))
+    return out
+
+
+def _oracle_certify(dag, d=None):
+    if d is None:
+        d = uniform_bound(arc.elem for arc in dag.arcs)
+    spectral = stability._arc_norms(dag, "spectral")
+    sums = _oracle_level_sums(dag, d, spectral)
+    stable_from = None
+    for entry in reversed(sums):
+        if entry.sum <= 1.0 + SUM_TOLERANCE:
+            stable_from = entry.level
+        else:
+            break
+    lvl, per_level = _oracle_arcs_by_level(dag)
+    top = max(lvl.values())
+    c = [1.0] + [0.0] * top
+    for n in range(1, top + 1):
+        total = 0.0
+        for arc in per_level.get(n, []):
+            total += spectral[arc.id] * c[lvl[arc.src]]
+        c[n] = d * total
+    return StabilityReport(d=float(d), level_sums=tuple(sums), stable_from=stable_from, certified_C=tuple(c))
+
+
+def _oracle_rescale(dag, use_frobenius=False):
+    d = uniform_bound(arc.elem for arc in dag.arcs)
+    norms = stability._arc_norms(dag, "frobenius" if use_frobenius else "spectral")
+    lvl, per_level = _oracle_arcs_by_level(dag)
+    factors = {}
+    for n in range(1, max(lvl.values()) + 1):
+        arcs = per_level.get(n, [])
+        unit_mass = d * sum(1.0 for a in arcs if a.elem.weight is None)
+        weighted = d * sum(norms[a.id] for a in arcs if a.elem.weight is not None)
+        if unit_mass + weighted <= 1.0 + SUM_TOLERANCE:
+            continue
+        if unit_mass > 1.0 + SUM_TOLERANCE or weighted == 0.0:
+            raise ValueError(
+                f"level {n}: unit arc contributions ({unit_mass:g}) already exceed "
+                "the budget; rescaling weights cannot certify this level"
+            )
+        for arc in arcs:
+            if arc.elem.weight is not None:
+                factors[arc.id] = (1.0 - unit_mass) / weighted
+    if not factors:
+        return dag
+    new_arcs = tuple(
+        Arc(
+            a.id,
+            a.src,
+            a.dst,
+            replace(a.elem, weight=a.elem.weight * factors[a.id]) if a.id in factors else a.elem,
+            a.in_dim,
+            a.out_dim,
+        )
+        for a in dag.arcs
+    )
+    return Dag(dag.input_dim, dag.nodes, new_arcs, dag.output_node, dict(dag.labels))
+
+
+def _oracle_level_value_matrices(dag, xs):
+    _, trace = forward_batch(dag, xs)
+    lvl = levels(dag)
+    per_level = {}
+    for nid, n in lvl.items():
+        per_level.setdefault(n, []).append(nid)
+    return [
+        np.concatenate([trace[nid] for nid in sorted(per_level[n])], axis=1)
+        for n in range(max(lvl.values()) + 1)
+    ]
+
+
+def _rescale_outcome(rescale, dag, use_frobenius):
+    try:
+        return rescale(dag, use_frobenius)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _same_arrays(a, b):
+    return (a is None and b is None) or (a is not None and b is not None and np.array_equal(a, b))
+
+
+def _assert_same_graph(got, want):
+    assert (got.input_dim, got.nodes, got.output_node, got.labels) == (
+        want.input_dim,
+        want.nodes,
+        want.output_node,
+        want.labels,
+    )
+    assert len(got.arcs) == len(want.arcs)
+    for a, b in zip(got.arcs, want.arcs):
+        assert (a.id, a.src, a.dst, a.in_dim, a.out_dim) == (b.id, b.src, b.dst, b.in_dim, b.out_dim)
+        assert (a.elem.act, a.elem.spec, a.elem.dim) == (b.elem.act, b.elem.spec, b.elem.dim)
+        assert _same_arrays(a.elem.weight, b.elem.weight) and _same_arrays(a.elem.bias, b.elem.bias)
+
+
+def _assert_matches_oracles(dag, d, samples):
+    for given in (None, d):
+        assert certify(dag, given) == _oracle_certify(dag, given)
+        assert level_sums(dag, given) == _oracle_level_sums(
+            dag,
+            uniform_bound(a.elem for a in dag.arcs) if given is None else given,
+            stability._arc_norms(dag, "spectral"),
+        )
+    for use_frobenius in (False, True):
+        got = _rescale_outcome(rescale_to_stability, dag, use_frobenius)
+        want = _rescale_outcome(_oracle_rescale, dag, use_frobenius)
+        if isinstance(want, str):
+            assert got == want
+            continue
+        _assert_same_graph(got, want)
+        for given in (None, d):
+            assert certify(got, given) == _oracle_certify(want, given)
+    got = _level_value_matrices(dag, samples)
+    want = _oracle_level_value_matrices(dag, samples)
+    assert len(got) == len(want)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def _oracle_fusion_stacks():
+    rng = np.random.default_rng(23)
+    layer_w = [
+        (rng.standard_normal((6, 6)), rng.standard_normal(6), rng.standard_normal((6, 6)), None)
+        for _ in range(3)
+    ]
+    raw = build_fusion_stack(layer_w, mode="compact")
+    stacks = [_mixed_fusion_stack(), raw]
+    return stacks + [rescale_to_stability(g, use_frobenius=f) for g in stacks for f in (False, True)]
+
+
+@pytest.mark.filterwarnings("ignore:no activation or transform present")
+@pytest.mark.parametrize("seed", range(40))
+def test_one_pass_certificate_matches_the_two_pass_oracle_on_random_graphs(seed):
+    rng = np.random.default_rng(seed)
+    dag = random_valid_dag(rng, n_ops=int(rng.integers(4, 14)))
+    samples = rng.standard_normal((7, dag.input_dim))
+    _assert_matches_oracles(dag, float(rng.uniform(0.1, 2.0)), samples)
+
+
+def test_one_pass_certificate_matches_the_oracle_on_demo_lenet_and_fusion_stacks():
+    rng = np.random.default_rng(29)
+    demo = build_demo_network()
+    per_level = list(levels(demo).values())
+    assert any(per_level.count(n) > 1 for n in per_level)
+    for dag in [demo, build_lenet5(seed=0), *_oracle_fusion_stacks()]:
+        _assert_matches_oracles(dag, 0.5, rng.standard_normal((5, dag.input_dim)))
+
+
+def test_rescale_shares_untouched_elements_and_copies_labels():
+    dag = _mixed_fusion_stack()
+    for use_frobenius in (False, True):
+        scaled = rescale_to_stability(dag, use_frobenius)
+        want = _oracle_rescale(dag, use_frobenius)
+        kept = [a.elem is w.elem for a, w in zip(dag.arcs, want.arcs)]
+        assert any(kept) and not all(kept)
+        assert [a.elem is s.elem for a, s in zip(dag.arcs, scaled.arcs)] == kept
+        assert scaled.labels == dag.labels and scaled.labels is not dag.labels
