@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -52,19 +53,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fusion-stack", help="fusion stack partition statistics")
     p.add_argument("--dims", type=int, default=14)
-    p.add_argument("--layers", type=int, default=5)
-    p.add_argument("--samples", type=int, default=5000)
+    p.add_argument("--layers", dest="layer_count", type=int, default=5)
+    p.add_argument("--samples", dest="sample_count", type=int, default=5000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default="out")
+    p.add_argument("--out", dest="output_dir", default="out")
 
     p = sub.add_parser("stability-gain", help="gain curves and certificates")
     p.add_argument("--dims", type=int, default=20)
-    p.add_argument("--layers", type=int, default=5)
-    p.add_argument("--samples", type=int, default=2000)
+    p.add_argument("--layers", dest="layer_count", type=int, default=5)
+    p.add_argument("--samples", dest="sample_count", type=int, default=2000)
     p.add_argument("--pair-budget", type=int, default=2_000_000)
     p.add_argument("--scaled", action="store_true", help="summarize the rescaled run")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default="out")
+    p.add_argument("--out", dest="output_dir", default="out")
 
     p = sub.add_parser("lenet-partition", help="partition statistics at probe levels")
     group = p.add_mutually_exclusive_group()
@@ -72,11 +73,11 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--synthetic", action="store_true", help="use synthetic images")
     p.add_argument("--subset", type=int, default=500)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default="out")
+    p.add_argument("--out", dest="output_dir", default="out")
 
     p = sub.add_parser("regions-2d", help="exact 2-D region counts")
-    p.add_argument("--grid", type=int, default=2001)
-    p.add_argument("--out", default="out")
+    p.add_argument("--grid", dest="grid_n", type=int, default=2001)
+    p.add_argument("--out", dest="output_dir", default="out")
     return parser
 
 
@@ -134,16 +135,15 @@ def _cmd_rescale(args) -> int:
     return 0
 
 
+def _config(args, **overrides) -> ExperimentConfig:
+    """The command's config; each experiment flag's ``dest`` is a field name."""
+    names = {f.name for f in fields(ExperimentConfig)}
+    given = {k: v for k, v in vars(args).items() if k in names}
+    return ExperimentConfig(experiment=args.command.replace("-", "_"), **given, **overrides)
+
+
 def _cmd_fusion_stack(args) -> int:
-    cfg = ExperimentConfig(
-        experiment="fusion_stack",
-        dims=args.dims,
-        layer_count=args.layers,
-        sample_count=args.samples,
-        seed=args.seed,
-        output_dir=args.out,
-    )
-    result = run_fusion_stack(cfg)
+    result = run_fusion_stack(_config(args))
     print(f"wrote {result.csv_path}")
     for (layer, channel), s in sorted(result.stats.items()):
         print(
@@ -154,16 +154,7 @@ def _cmd_fusion_stack(args) -> int:
 
 
 def _cmd_stability_gain(args) -> int:
-    cfg = ExperimentConfig(
-        experiment="stability_gain",
-        dims=args.dims,
-        layer_count=args.layers,
-        sample_count=args.samples,
-        seed=args.seed,
-        pair_budget=args.pair_budget,
-        output_dir=args.out,
-    )
-    result = run_stability_gain(cfg)
+    result = run_stability_gain(_config(args))
     for name, path in sorted(result.csv_paths.items()):
         print(f"wrote {path}")
     curve = result.rescaled_gain if args.scaled else result.gain
@@ -175,15 +166,8 @@ def _cmd_stability_gain(args) -> int:
 
 
 def _cmd_lenet_partition(args) -> int:
-    cfg = ExperimentConfig(
-        experiment="lenet_partition",
-        seed=args.seed,
-        output_dir=args.out,
-        sample_count=args.subset or 500,
-    )
-    result = run_lenet_partition(
-        cfg, mnist_dir=args.mnist_dir, synthetic=args.synthetic, subset=args.subset
-    )
+    cfg = _config(args, sample_count=args.subset or 500)
+    result = run_lenet_partition(cfg, mnist_dir=args.mnist_dir, synthetic=args.synthetic, subset=args.subset)
     print(f"wrote {result.csv_path}" + (" (synthetic images)" if result.synthetic else ""))
     for level in (3, 4, 7, 8):
         s = result.stats[level]
@@ -195,8 +179,7 @@ def _cmd_lenet_partition(args) -> int:
 
 
 def _cmd_regions_2d(args) -> int:
-    cfg = ExperimentConfig(experiment="regions_2d", grid_n=args.grid, output_dir=args.out)
-    result = run_regions_2d(cfg)
+    result = run_regions_2d(_config(args))
     print("network,region_count,product_bound")
     for name in ("relu", "max2", "maxlu2"):
         print(f"{name},{result.counts[name]},")

@@ -77,6 +77,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
+        for name in ("dims", "layer_count", "sample_count", "pair_budget", "grid_n"):
+            if (value := getattr(self, name)) < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
 
 
 def _fmt(value) -> str:
@@ -248,8 +251,10 @@ def run_lenet_partition(
     of each statistic over the channels; levels 4 and 8 are the fusing
     concatenations.  Weights are seeded random (the refinement behaviour is
     architectural).  Without IDX files, seeded standard-normal images stand
-    in, with a warning.
+    in, with a warning.  A ``subset`` of 0 or None keeps every image.
     """
+    if subset is not None and subset < 0:
+        raise ValueError(f"subset must be at least 0, got {subset}")
     seeds = np.random.SeedSequence(cfg.seed).spawn(2)
     used_synthetic = False
     if mnist_dir and not synthetic:

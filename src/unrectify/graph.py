@@ -376,7 +376,14 @@ def _evaluate(dag: Dag, xs, node_id: int, batch: bool) -> Trace:
     if not np.all(np.isfinite(arr)):
         raise ValueError("input entries must be finite")
     dag.require_valid()
-    return Trace(dag, propagate(dag, node_id, arr, lambda arc, value: arc.elem.apply(value)))
+
+    def through_arc(arc, value):
+        try:
+            return arc.elem.apply(value)
+        except ValueError as exc:  # a nonlinearity's non-finite input
+            raise ValueError(f"arc {arc.id} {exc}") from None
+
+    return Trace(dag, propagate(dag, node_id, arr, through_arc))
 
 
 def forward(dag: Dag, x) -> tuple[np.ndarray, Trace]:

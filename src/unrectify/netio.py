@@ -5,8 +5,11 @@ optional ``output_node`` (otherwise the unique sink is the output) and an
 optional ``labels`` map.  A weight with fewer than half of its entries
 nonzero is written sparse, as ``{"shape": [m, n], "index": [...],
 "values": [...]}`` with strictly increasing flat row-major positions; every
-other matrix is a nested row-major array.  Both forms load.  See
-docs/network_format.md for the full schema.
+other matrix is a nested row-major array.  Both forms load.  An element is
+one ``ArcElement`` built from the parts present (``W``, ``b``, ``cpwl`` or
+``pool``, ``transform``), and those parts must make its declared ``kind``:
+a field of another kind is rejected.  See docs/network_format.md for the
+full schema.
 
 Loading is permissive about graph semantics (cycles, dimension faults) so
 that ``validate`` can report problems on whatever the file describes;
@@ -23,16 +26,7 @@ from typing import Any
 import numpy as np
 
 from .basis import CpwlSpec, PoolSpec, TransformSpec
-from .elements import (
-    Activation,
-    ActivationAffine,
-    Affine,
-    ArcElement,
-    Identity,
-    Linear,
-    Transform,
-    TransformAffine,
-)
+from .elements import ArcElement
 from .graph import Arc, Dag, Node, ROLE_RELAY, ROLES
 
 __all__ = ["NetworkFormatError", "dag_to_dict", "dag_from_dict", "save_network", "load_network"]
@@ -152,6 +146,7 @@ def _matrix_from(data, where: str) -> np.ndarray:
 
 
 def _act_from_dict(data: dict, where: str):
+    """The element's activation or block pool, or None when it has neither."""
     if "pool" in data:
         pool = data["pool"]
         kind = _need(pool, "kind", f"{where}.pool")
@@ -168,7 +163,6 @@ def _act_from_dict(data: dict, where: str):
             )
         except (AttributeError, TypeError, ValueError) as exc:
             raise NetworkFormatError(f"{where}.cpwl: {exc}") from None
-    raise NetworkFormatError(f"{where}: activation needs a 'cpwl' or 'pool' field")
 
 
 def _transform_from_dict(data: dict, where: str) -> TransformSpec:
@@ -182,29 +176,21 @@ def _transform_from_dict(data: dict, where: str) -> TransformSpec:
 def element_from_dict(data: dict, in_dim: int, where: str) -> ArcElement:
     kind = _need(data, "kind", where)
     try:
-        if kind == "identity":
-            return Identity(in_dim)
-        if kind == "linear":
-            return Linear(_matrix_from(_need(data, "W", where), f"{where}.W"))
-        if kind == "affine":
-            return Affine(_matrix_from(_need(data, "W", where), f"{where}.W"), data.get("b"))
-        if kind == "activation":
-            return Activation(_act_from_dict(data, where), in_dim)
-        if kind == "activation_affine":
-            w = _matrix_from(_need(data, "W", where), f"{where}.W")
-            return ActivationAffine(_act_from_dict(data, where), w, data.get("b"))
-        if kind == "transform":
-            return Transform(_transform_from_dict(_need(data, "transform", where), f"{where}.transform"), in_dim)
-        if kind == "transform_affine":
-            w = _matrix_from(_need(data, "W", where), f"{where}.W")
-            return TransformAffine(
-                _transform_from_dict(_need(data, "transform", where), f"{where}.transform"), w, data.get("b")
-            )
+        weight = _matrix_from(data["W"], f"{where}.W") if "W" in data else None
+        bias = data.get("b")
+        if bias is None and weight is not None and str(kind).endswith("affine"):
+            bias = np.zeros(len(weight))
+        spec = _transform_from_dict(data["transform"], f"{where}.transform") if "transform" in data else None
+        dim = in_dim if weight is None else None
+        elem = ArcElement(weight, bias, _act_from_dict(data, where), spec, dim)
     except NetworkFormatError:
         raise
     except (TypeError, ValueError) as exc:
         raise NetworkFormatError(f"{where}: {exc}") from None
-    raise NetworkFormatError(f"{where}: unknown element kind {kind!r}")
+    if elem.kind != kind:
+        fields = sorted(k for k in data if k != "kind")
+        raise NetworkFormatError(f"{where}: fields {fields} make kind {elem.kind!r}, not the declared {kind!r}")
+    return elem
 
 
 def dag_to_dict(dag: Dag) -> dict:

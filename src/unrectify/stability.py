@@ -179,14 +179,15 @@ def certify(dag: Dag, d: Optional[float] = None) -> StabilityReport:
     lvl, per_level = _arcs_by_level(dag)
     sums, c, stable_from = [], [1.0], None
     for n, arcs in enumerate(per_level[1:], start=1):
-        spec_total = d * sum(spectral[a.id] for a in arcs)
-        frob_total = d * sum(frob[a.id] for a in arcs)
-        sums.append(LevelSum(level=n, sum=spec_total, frob_sum=frob_total))
-        total = 0.0
+        # plain += in arc order, so the totals round alike on every Python
+        spec_total = frob_total = total = 0.0
         for arc in arcs:
+            spec_total += spectral[arc.id]
+            frob_total += frob[arc.id]
             total += spectral[arc.id] * c[lvl[arc.src]]
+        sums.append(LevelSum(level=n, sum=d * spec_total, frob_sum=d * frob_total))
         c.append(d * total)
-        if not spec_total <= 1.0 + SUM_TOLERANCE:
+        if not sums[-1].sum <= 1.0 + SUM_TOLERANCE:
             stable_from = None
         elif stable_from is None:
             stable_from = n
@@ -215,8 +216,13 @@ def rescale_to_stability(dag: Dag, use_frobenius: bool = False) -> Dag:
 
     factors: dict[int, float] = {}
     for n, arcs in enumerate(per_level[1:], start=1):
-        unit_mass = d * sum(1.0 for a in arcs if a.elem.weight is None)
-        weighted = d * sum(norms[a.id] for a in arcs if a.elem.weight is not None)
+        unit_mass = weighted = 0.0
+        for arc in arcs:
+            if arc.elem.weight is None:
+                unit_mass += 1.0
+            else:
+                weighted += norms[arc.id]
+        unit_mass, weighted = d * unit_mass, d * weighted
         total = unit_mass + weighted
         if total <= 1.0 + SUM_TOLERANCE:
             continue

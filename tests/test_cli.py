@@ -246,3 +246,148 @@ def test_validate_fails_on_a_label_of_a_missing_node(tmp_path, capsys):
     path.write_text(json.dumps(data))
     assert main(["validate", str(path)]) == 1
     assert "label 'ghost' names node 99" in capsys.readouterr().out
+
+
+def _parent_parser():
+    """The experiment subcommands as they were parsed before the flags
+    stored into ExperimentConfig's fields by name."""
+    import argparse
+
+    parser = argparse.ArgumentParser(prog="unrectify")
+    sub = parser.add_subparsers(dest="command", required=True)
+    p = sub.add_parser("fusion-stack")
+    p.add_argument("--dims", type=int, default=14)
+    p.add_argument("--layers", type=int, default=5)
+    p.add_argument("--samples", type=int, default=5000)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", default="out")
+    p = sub.add_parser("stability-gain")
+    p.add_argument("--dims", type=int, default=20)
+    p.add_argument("--layers", type=int, default=5)
+    p.add_argument("--samples", type=int, default=2000)
+    p.add_argument("--pair-budget", type=int, default=2_000_000)
+    p.add_argument("--scaled", action="store_true")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", default="out")
+    p = sub.add_parser("lenet-partition")
+    group = p.add_mutually_exclusive_group()
+    group.add_argument("--mnist-dir")
+    group.add_argument("--synthetic", action="store_true")
+    p.add_argument("--subset", type=int, default=500)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", default="out")
+    p = sub.add_parser("regions-2d")
+    p.add_argument("--grid", type=int, default=2001)
+    p.add_argument("--out", default="out")
+    return parser
+
+
+def _parent_runner_call(args):
+    """The four experiment handlers' bodies up to their runner call, as they
+    were: (runner name, config, keyword arguments)."""
+    from unrectify.experiments import ExperimentConfig
+
+    if args.command == "fusion-stack":
+        cfg = ExperimentConfig(
+            experiment="fusion_stack",
+            dims=args.dims,
+            layer_count=args.layers,
+            sample_count=args.samples,
+            seed=args.seed,
+            output_dir=args.out,
+        )
+        return "run_fusion_stack", cfg, {}
+    if args.command == "stability-gain":
+        cfg = ExperimentConfig(
+            experiment="stability_gain",
+            dims=args.dims,
+            layer_count=args.layers,
+            sample_count=args.samples,
+            seed=args.seed,
+            pair_budget=args.pair_budget,
+            output_dir=args.out,
+        )
+        return "run_stability_gain", cfg, {}
+    if args.command == "lenet-partition":
+        cfg = ExperimentConfig(
+            experiment="lenet_partition",
+            seed=args.seed,
+            output_dir=args.out,
+            sample_count=args.subset or 500,
+        )
+        kwargs = dict(mnist_dir=args.mnist_dir, synthetic=args.synthetic, subset=args.subset)
+        return "run_lenet_partition", cfg, kwargs
+    cfg = ExperimentConfig(experiment="regions_2d", grid_n=args.grid, output_dir=args.out)
+    return "run_regions_2d", cfg, {}
+
+
+class _Ran(Exception):
+    """Stops a handler once its runner has been called."""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fusion-stack"],
+        ["fusion-stack", "--dims", "3", "--layers", "2", "--samples", "7", "--seed", "4", "--out", "o"],
+        ["stability-gain"],
+        ["stability-gain", "--dims", "3", "--layers", "2", "--samples", "7", "--pair-budget", "11",
+         "--scaled", "--seed", "4", "--out", "o"],
+        ["lenet-partition"],
+        ["lenet-partition", "--synthetic", "--subset", "20", "--seed", "4", "--out", "o"],
+        ["lenet-partition", "--mnist-dir", "d", "--subset", "0", "--seed", "4", "--out", "o"],
+        ["regions-2d"],
+        ["regions-2d", "--grid", "11", "--out", "o"],
+    ],
+)
+def test_experiment_configs_equal_the_hand_copied_ones(argv, monkeypatch):
+    from unrectify import cli
+
+    calls = []
+
+    def recorder(name):
+        def run(cfg, **kwargs):
+            calls.append((name, cfg, kwargs))
+            raise _Ran
+
+        return run
+
+    for name in ("run_fusion_stack", "run_stability_gain", "run_lenet_partition", "run_regions_2d"):
+        monkeypatch.setattr(cli, name, recorder(name))
+    with pytest.raises(_Ran):
+        main(argv)
+    assert calls == [_parent_runner_call(_parent_parser().parse_args(argv))]
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["fusion-stack", "--samples", "-3"], "sample_count"),
+        (["fusion-stack", "--layers", "0"], "layer_count"),
+        (["stability-gain", "--dims", "-1"], "dims"),
+        (["regions-2d", "--grid", "0"], "grid_n"),
+        (["lenet-partition", "--synthetic", "--subset", "-5"], "sample_count"),
+    ],
+)
+def test_negative_experiment_sizes_name_the_field(argv, field, tmp_path, capsys):
+    assert main([*argv, "--out", str(tmp_path)]) == 2
+    assert f"{field} must be at least 1" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_lenet_partition_rejects_a_negative_subset_of_idx_images(tmp_path, capsys):
+    from conftest import write_idx_pair
+    from unrectify.experiments import ExperimentConfig, run_lenet_partition
+
+    rng = np.random.default_rng(3)
+    data_dir = tmp_path / "data"
+    data_dir.mkdir()
+    images = rng.integers(0, 256, size=(20, 28, 28), dtype=np.uint8)
+    write_idx_pair(data_dir, images, rng.integers(0, 10, size=20))
+    out = tmp_path / "out"
+    assert main(["lenet-partition", "--mnist-dir", str(data_dir), "--subset", "-5", "--out", str(out)]) == 2
+    assert "sample_count must be at least 1, got -5" in capsys.readouterr().err
+    cfg = ExperimentConfig("lenet_partition", output_dir=str(out))
+    with pytest.raises(ValueError, match="subset must be at least 0, got -5"):
+        run_lenet_partition(cfg, mnist_dir=str(data_dir), subset=-5)
+    assert not out.exists()

@@ -12,7 +12,11 @@ from unrectify import (
     Linear,
     Node,
     PoolSpec,
+    TransformAffine,
+    TransformSpec,
+    affine_piece,
     build_fusion_module,
+    build_series_stack,
     computable_subgraph,
     concatenate,
     duplicate,
@@ -122,6 +126,20 @@ def test_non_finite_arc_output_names_the_arc():
         forward_batch(g, np.ones((3, 2)))
     with pytest.raises(ValueError, match="arc 1 "):
         region_code(g, g.output_node, np.ones(2))
+    # an overflowing pre-activation fails inside the nonlinearity itself
+    cpwl = build_series_stack([1e200 * np.ones((2, 2))] * 2)
+    transform = series(identity_dag(2), Affine(1e200 * np.eye(2)))
+    transform = series(transform, TransformAffine(TransformSpec("tanh"), 1e200 * np.eye(2)))
+    for net in (cpwl, transform):
+        for run in (
+            lambda: forward(net, np.ones(2)),
+            lambda: forward_batch(net, np.ones((3, 2))),
+            lambda: region_code(net, net.output_node, np.ones(2)),
+        ):
+            with pytest.raises(ValueError, match="arc 1 "):
+                run()
+    with pytest.raises(ValueError, match="arc 1 "):
+        affine_piece(cpwl, cpwl.output_node, np.ones(2))
 
 
 def test_forward_trace_covers_all_nodes():

@@ -297,6 +297,8 @@ def _set(path, value):
         (_sparse_weight(shape=[0, 2]), r"arcs\[0\]\.elem\.W\.shape"),
         (_sparse_weight(shape=[2.5, 2]), r"arcs\[0\]\.elem\.W\.shape"),
         (_sparse_weight(values=[1.0, float("nan")]), r"arcs\[0\]\.elem: weight entries must be finite"),
+        (_set(("arcs", 0, "elem"), {"kind": "linear"}), r"arcs\[0\]\.elem"),
+        (_set(("arcs", 0, "elem"), {"kind": "activation"}), r"arcs\[0\]\.elem"),
     ],
     ids=[
         "node_entry", "node_id", "arc_src", "arc_elem",
@@ -306,6 +308,7 @@ def _set(path, value):
         "sparse_negative_index", "sparse_index_past_end", "sparse_repeated_index",
         "sparse_decreasing_index", "sparse_length_mismatch", "sparse_one_axis_shape",
         "sparse_empty_shape", "sparse_fractional_shape", "sparse_nan_value",
+        "linear_without_W", "activation_without_cpwl_or_pool",
     ],
 )
 def test_malformed_fields_are_named(edit, field):
@@ -313,6 +316,27 @@ def test_malformed_fields_are_named(edit, field):
     assert validate(dag_from_dict(data)).ok
     edit(data)
     with pytest.raises(NetworkFormatError, match=field):
+        dag_from_dict(data)
+
+
+_RELU = {"right": [[1.0, 0.0]], "left": []}
+
+
+@pytest.mark.parametrize(
+    "elem",
+    [
+        {"kind": "linear", "W": [[1.0, 0.0], [0.0, 1.0]], "b": [1.0, 1.0]},
+        {"kind": "identity", "W": [[1.0, 0.0], [0.0, 1.0]]},
+        {"kind": "activation", "W": [[1.0, 0.0], [0.0, 1.0]], "cpwl": _RELU},
+        {"kind": "affine", "W": [[1.0, 0.0], [0.0, 1.0]], "cpwl": _RELU},
+        {"kind": "transform", "W": [[1.0, 0.0], [0.0, 1.0]], "transform": {"kind": "tanh"}},
+    ],
+    ids=["linear_with_b", "identity_with_W", "activation_with_W", "affine_with_cpwl", "transform_with_W"],
+)
+def test_fields_outside_the_declared_kind_are_rejected(elem):
+    data = _small_network()
+    data["arcs"][0]["elem"] = elem
+    with pytest.raises(NetworkFormatError, match=rf"arcs\[0\]\.elem.*'{elem['kind']}'"):
         dag_from_dict(data)
 
 

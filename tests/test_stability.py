@@ -396,19 +396,6 @@ def test_certify_weighs_transform_bound():
     assert not certify(hot).certified
 
 
-def test_empirical_gain_deterministic_across_thread_counts(monkeypatch):
-    rng = np.random.default_rng(21)
-    w = rng.standard_normal((5, 5))
-    net = series(identity_dag(5), Linear(w))
-    xs = rng.standard_normal((150, 5))
-    monkeypatch.setenv("UNRECTIFY_THREADS", "1")
-    single = empirical_gain(net, xs)
-    monkeypatch.setenv("UNRECTIFY_THREADS", "4")
-    multi = empirical_gain(net, xs)
-    assert single.gains == multi.gains
-    assert single.pairs_used == multi.pairs_used
-
-
 def loop_gain(dag, xs, min_distance=1e-9):
     """The per-row all-pairs sweep, the oracle the blocked Gram screen must
     equal bit for bit: gains per level and the number of pairs kept."""
