@@ -8,11 +8,19 @@ activation, activation_affine, transform, transform_affine) are derived
 from which parts are present, and the functions named after them build
 elements.  Elements are immutable and apply to batches (leading axes are
 preserved, the last axis is the vector dimension).
+
+A weight whose every row holds a single entry 1.0 is a selection: it picks
+one input coordinate per output, as LeNet-5's pairing permutations do.  Its
+product is applied by indexing, which gives the bits of the dense product.
+An element works this out on its first product and keeps the answer.
+``apply`` is ``pre_activation`` followed by ``activate``, so a walk that
+needs the pre-activation as well computes it once.
 """
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional
 
 import numpy as np
@@ -119,15 +127,44 @@ class ArcElement:
             return self._rows // self.act.block
         return self._rows
 
+    @cached_property
+    def selection(self) -> Optional[np.ndarray]:
+        """Column each row of the weight picks, when every row holds a single
+        entry 1.0 and all other entries are +0.0; None otherwise.  The whole
+        weight is scanned only when its first row passes."""
+        if self.weight is None:
+            return None
+        bits = self.weight.view(np.int64)
+        if np.count_nonzero(bits[0]) != 1:
+            return None
+        rows, cols = np.nonzero(bits)
+        if len(rows) != len(bits) or (rows != np.arange(len(bits))).any():
+            return None
+        return cols if (self.weight[rows, cols] == 1.0).all() else None
+
+    def weight_product(self, values: np.ndarray) -> np.ndarray:
+        """``values @ W.T``.  A selection gathers its columns instead, into a
+        C-ordered array as the product is (a later product's rounding depends
+        on the layout); adding 0.0 turns a -0.0 into the product's +0.0."""
+        cols = self.selection
+        if cols is None:
+            return values @ self.weight.T
+        out = np.take(np.asarray(values, dtype=float), cols, axis=-1)
+        out += 0.0
+        return out
+
     def pre_activation(self, values: np.ndarray) -> np.ndarray:
         """Input seen by the element's nonlinearity (affine part applied)."""
         if self.weight is None:
             return values
-        out = values @ self.weight.T
+        out = self.weight_product(values)
         return out if self.bias is None else out + self.bias
 
     def apply(self, values: np.ndarray) -> np.ndarray:
-        pre = self.pre_activation(values)
+        return self.activate(self.pre_activation(values))
+
+    def activate(self, pre: np.ndarray) -> np.ndarray:
+        """The element's nonlinearity applied to its pre-activation."""
         if isinstance(self.act, PoolSpec):
             return pool_values(self.act, pre)
         if self.act is not None:

@@ -347,8 +347,9 @@ def propagate(dag: Dag, node_id: int, start, through_arc) -> dict:
             for p in parts[1:]:
                 value = value + p
         # the node's sum of squares is non-finite whenever one of its entries
-        # is (or when it overflows); only then are the arc outputs inspected
-        flat = value.ravel()
+        # is (or when it overflows); only then are the arc outputs inspected.
+        # Order "K" reads the entries in memory order, so no layout is copied.
+        flat = value.ravel(order="K")
         if not math.isfinite(np.dot(flat, flat)):
             for arc, part in zip(arcs, parts):
                 if not np.isfinite(part).all():
@@ -366,8 +367,13 @@ class Trace(dict):
         self.dag, self.codes = dag, {}
 
 
-def _evaluate(dag: Dag, xs, node_id: int, batch: bool) -> Trace:
-    """Values of the node's closure on one input, or on a batch of row inputs."""
+def _evaluate(dag: Dag, xs, node_id: int, batch: bool, pres: Optional[dict] = None) -> Trace:
+    """Values of the node's closure on one input, or on a batch of row inputs.
+
+    A given ``pres`` receives each activation arc's pre-activation by arc id,
+    computed once on the walk; batch traces pass none, so they keep no
+    per-arc arrays.
+    """
     arr = np.asarray(xs, dtype=float)
     if batch and (arr.ndim != 2 or arr.shape[1] != dag.input_dim):
         raise ValueError(f"batch must have shape (n, {dag.input_dim}), got {arr.shape}")
@@ -379,7 +385,10 @@ def _evaluate(dag: Dag, xs, node_id: int, batch: bool) -> Trace:
 
     def through_arc(arc, value):
         try:
-            return arc.elem.apply(value)
+            if pres is None or arc.elem.act is None:
+                return arc.elem.apply(value)
+            pres[arc.id] = pre = arc.elem.pre_activation(value)
+            return arc.elem.activate(pre)
         except ValueError as exc:  # a nonlinearity's non-finite input
             raise ValueError(f"arc {arc.id} {exc}") from None
 

@@ -8,7 +8,8 @@ nonzero is written sparse, as ``{"shape": [m, n], "index": [...],
 other matrix is a nested row-major array.  Both forms load.  An element is
 one ``ArcElement`` built from the parts present (``W``, ``b``, ``cpwl`` or
 ``pool``, ``transform``), and those parts must make its declared ``kind``:
-a field of another kind is rejected.  See docs/network_format.md for the
+a field of another kind, a field of no kind, and both ``cpwl`` and
+``pool`` on one element are rejected.  See docs/network_format.md for the
 full schema.
 
 Loading is permissive about graph semantics (cycles, dimension faults) so
@@ -147,6 +148,8 @@ def _matrix_from(data, where: str) -> np.ndarray:
 
 def _act_from_dict(data: dict, where: str):
     """The element's activation or block pool, or None when it has neither."""
+    if "pool" in data and "cpwl" in data:
+        raise NetworkFormatError(f"{where}: holds both 'pool' and 'cpwl'; an activation is one of them")
     if "pool" in data:
         pool = data["pool"]
         kind = _need(pool, "kind", f"{where}.pool")
@@ -173,8 +176,16 @@ def _transform_from_dict(data: dict, where: str) -> TransformSpec:
         raise NetworkFormatError(f"{where}: {exc}") from None
 
 
+# every field an element may hold; which of them make which kind is ArcElement's rule
+_ELEMENT_FIELDS = ("kind", "W", "b", "cpwl", "pool", "transform")
+
+
 def element_from_dict(data: dict, in_dim: int, where: str) -> ArcElement:
     kind = _need(data, "kind", where)
+    unknown = sorted(set(data) - set(_ELEMENT_FIELDS))
+    if unknown:
+        fields = list(_ELEMENT_FIELDS)
+        raise NetworkFormatError(f"{where}: unknown field {unknown[0]!r}; an element holds only {fields}")
     try:
         weight = _matrix_from(data["W"], f"{where}.W") if "W" in data else None
         bias = data.get("b")

@@ -14,6 +14,12 @@ label per sample, so equal labels mean equal codes and label order is the
 lexicographic order of the codes.  An arc's code, its pattern block folded
 into one int64 per sample, is kept in a table of the batch's trace, so all
 queries on one ``forward_batch`` trace derive each arc's patterns once.
+
+The single-input queries, ``region_code`` and ``affine_piece``, compute one
+pre-activation per arc: the evaluation walk hands each activation arc's
+pre-activation over, and the pattern is read from it.  A selection weight
+(every row a single 1.0) is applied by indexing, on values as on the maps
+that ``affine_piece`` carries.
 """
 from __future__ import annotations
 
@@ -104,13 +110,16 @@ def _first_transform(dag: Dag, node_id: int) -> Optional[Arc]:
     return next((arc for arc in arcs if arc.elem.spec is not None), None)
 
 
-def _arc_pattern(arc: Arc, src_values: np.ndarray) -> np.ndarray:
-    """Integer pattern ids for one activation arc, batch in rows."""
-    act = arc.elem.act
-    pre = arc.elem.pre_activation(src_values)
+def _pattern(act, pre: np.ndarray) -> np.ndarray:
+    """Integer pattern ids of an activation at its pre-activation."""
     if isinstance(act, PoolSpec):
         return pool_ids(act, pre)
     return cpwl_piece_ids(act, pre)
+
+
+def _arc_pattern(arc: Arc, src_values: np.ndarray) -> np.ndarray:
+    """Integer pattern ids for one activation arc, batch in rows."""
+    return _pattern(arc.elem.act, arc.elem.pre_activation(src_values))
 
 
 def _fold(labels: np.ndarray, bound: int, col: np.ndarray, k: int) -> tuple[np.ndarray, int]:
@@ -188,10 +197,11 @@ def region_code(dag: Dag, node_id: int, x) -> RegionCode:
     if x.shape != (dag.input_dim,):
         raise ValueError(f"input must have shape ({dag.input_dim},), got {x.shape}")
     arcs = _pattern_arcs(dag, node_id)
-    trace = _evaluate(dag, x[None], node_id, batch=True)
+    pres: dict = {}
+    _evaluate(dag, x[None], node_id, batch=True, pres=pres)
     # CPWL patterns carry one id per coordinate, pool patterns one per block;
     # both equal the arc's output dimension.
-    segments = tuple(tuple(_arc_pattern(arc, trace[arc.src])[0].tolist()) for arc in arcs)
+    segments = tuple(tuple(_pattern(arc.elem.act, pres[arc.id])[0].tolist()) for arc in arcs)
     return RegionCode(tuple(a.id for a in arcs), segments)
 
 
@@ -210,23 +220,37 @@ def affine_piece(dag: Dag, node_id: int, x) -> AffinePiece:
         raise NotPiecewiseAffineError(
             f"arc {arc.id} applies a transform; the function is not piecewise affine"
         )
-    trace = _evaluate(dag, x, node_id, batch=False)
+    pres: dict = {}
+    _evaluate(dag, x, node_id, batch=False, pres=pres)
 
-    def through_arc(arc: Arc, m: np.ndarray) -> np.ndarray:
+    def weighted(arc: Arc, m: np.ndarray) -> np.ndarray:
         elem = arc.elem
         if elem.weight is not None:
             # at the input m is the identity start: take [W^T; 0] without the product
-            m = np.vstack([elem.weight.T, np.zeros(len(elem.weight))]) if arc.src == 0 else m @ elem.weight.T
+            m = np.vstack([elem.weight.T, np.zeros(len(elem.weight))]) if arc.src == 0 else elem.weight_product(m)
             if elem.bias is not None:
                 m[-1] += elem.bias
+        return m
+
+    def through_arc(arc: Arc, m: np.ndarray) -> np.ndarray:
+        elem = arc.elem
+        if isinstance(elem.act, PoolSpec):
+            ids = pool_ids(elem.act, pres[arc.id])
+            pick = np.arange(len(ids)) * elem.act.block + ids - 1
+            if elem.selection is not None and arc.src != 0:
+                # the pool keeps one column a block: gather only those of the selection
+                picked = m[:, elem.selection[pick]]
+                picked += 0.0
+                if elem.bias is not None:
+                    picked[-1] += elem.bias[pick]
+            else:
+                picked = weighted(arc, m)[:, pick]
+            picked[:, ids == 0] = 0.0  # the gather is a fresh array
+            return picked
+        m = weighted(arc, m)
         if elem.act is None:
             return m
-        pre = elem.pre_activation(trace[arc.src])
-        if isinstance(elem.act, PoolSpec):
-            ids = pool_ids(elem.act, pre)
-            picked = m[:, np.arange(len(ids)) * elem.act.block + ids - 1]
-            return np.where(ids > 0, picked, 0.0)
-        slope, offset = cpwl_slope_offset(elem.act, pre)
+        slope, offset = cpwl_slope_offset(elem.act, pres[arc.id])
         m = m * slope
         m[-1] += offset
         return m

@@ -18,7 +18,7 @@ from unrectify import (
     unrectify,
 )
 from unrectify.basis import cpwl_slope_offset, pool_ids, pool_values
-from unrectify.elements import Activation, Affine, Transform
+from unrectify.elements import Activation, Affine, Linear, Transform
 
 
 def test_relu_eval_values():
@@ -214,3 +214,60 @@ def test_uniform_bound_rules():
 def test_uniform_bound_warns_without_nonlinearity():
     with pytest.warns(UserWarning):
         assert uniform_bound([Affine(np.eye(2))]) == 1.0
+
+
+def _selection_inputs(rng, n):
+    """1-D, one-row, batch and Fortran-ordered inputs, all holding +-0.0."""
+    batch = rng.standard_normal((6, n))
+    batch[rng.random(batch.shape) < 0.3] = -0.0
+    batch[rng.random(batch.shape) < 0.1] = 0.0
+    batch[0] = -np.abs(batch[0])  # a row whose every product term is -0.0 or negative
+    return [batch[1], batch[:1], batch, np.asfortranarray(batch), np.asfortranarray(batch.T).T]
+
+
+def test_selection_weights_give_the_bytes_of_the_dense_product():
+    rng = np.random.default_rng(40)
+    for trial in range(60):
+        n, k = (int(v) for v in rng.integers(1, 40, 2))
+        cols = rng.integers(0, n, k)  # repeated columns included
+        if trial == 0:
+            cols = np.zeros(k, dtype=int)
+        w = np.zeros((k, n))
+        w[np.arange(k), cols] = 1.0
+        bias = rng.standard_normal(k)
+        bias[rng.random(k) < 0.3] = -0.0
+        for elem in (Linear(w), Affine(w), Affine(w, bias)):
+            assert np.array_equal(elem.selection, cols)
+            for x in _selection_inputs(rng, n):
+                dense = x @ w.T
+                if elem.bias is not None:
+                    dense = dense + elem.bias
+                got = elem.pre_activation(x)
+                assert (got.shape, got.strides) == (dense.shape, dense.strides)
+                assert got.tobytes() == dense.tobytes()
+                product = elem.weight_product(x)
+                assert (product.strides, product.tobytes()) == ((x @ w.T).strides, (x @ w.T).tobytes())
+
+
+def test_near_selections_stay_on_the_dense_product():
+    rng = np.random.default_rng(41)
+    base = np.zeros((4, 5))
+    base[np.arange(4), [1, 0, 4, 1]] = 1.0
+    assert np.array_equal(Linear(base).selection, [1, 0, 4, 1])
+    near = []
+    for row, col, value in ((2, 4, 2.0), (2, 4, -1.0), (0, 3, 0.5), (3, 1, -0.0), (3, 1, 0.0)):
+        w = base.copy()
+        w[row, col] = value  # an entry of 2.0 or -1.0, two entries in a row, a -0.0, a zero row
+        near.append(w)
+    near.append(base[::-1].copy())  # the first row passes, a later one does not
+    near[-1][-1, 1] = 3.0
+    near.append(base.copy())  # two 1.0 entries in a row
+    near[-1][2, 0] = 1.0
+    near.append(near[-1].copy())  # ... and a zero row, so the count of entries is the row count
+    near[-1][3, 1] = 0.0
+    for w in near:
+        elem = Affine(w, rng.standard_normal(4))
+        assert elem.selection is None
+        for x in _selection_inputs(rng, 5):
+            assert elem.pre_activation(x).tobytes() == (x @ w.T + elem.bias).tobytes()
+    assert Activation(relu_spec(), 3).selection is None

@@ -251,6 +251,18 @@ def test_lenet5_dimensions_and_levels():
     assert y.shape == (10,)
 
 
+def test_lenet5_has_22_selection_weights_found_on_first_use():
+    dag = build_lenet5(seed=0)
+    # building scans no weight: setup costs nothing for the selection path
+    assert not any("selection" in vars(arc.elem) for arc in dag.arcs)
+    picked = [arc for arc in dag.arcs if arc.elem.selection is not None]
+    assert len(picked) == 22
+    assert {arc.dst for arc in picked} == {
+        dag.labels[f"stage{s}.pool.{c}.v"] for s, n in ((1, 6), (2, 16)) for c in range(n)
+    }
+    assert sum(arc.elem.weight is not None for arc in dag.arcs) == 47
+
+
 def test_lenet5_pooling_matches_direct_2x2_maxlu():
     dag = build_lenet5(seed=1)
     rng = np.random.default_rng(2)

@@ -29,7 +29,7 @@ from unrectify import (
     series,
     validate,
 )
-from unrectify.graph import Arc, ROLE_INPUT, ROLE_RELAY, ancestors
+from unrectify.graph import Arc, ROLE_INPUT, ROLE_RELAY, ancestors, propagate
 
 
 def test_series_identity_is_identity():
@@ -140,6 +140,22 @@ def test_non_finite_arc_output_names_the_arc():
                 run()
     with pytest.raises(ValueError, match="arc 1 "):
         affine_piece(cpwl, cpwl.output_node, np.ones(2))
+
+
+def test_non_finite_fortran_ordered_value_names_the_arc():
+    g = build_fusion_module([np.eye(3), np.ones((3, 3))])
+    for arc_id in range(len(g.arcs)):
+        for entry in (np.inf, -np.inf, np.nan):
+
+            def through_arc(arc, value):
+                out = np.asfortranarray(np.ones((4, 3)) + value[:, :1])
+                if arc.id == arc_id:
+                    out[2, 1] = entry
+                assert out.flags.f_contiguous and not out.flags.c_contiguous
+                return out
+
+            with pytest.raises(ValueError, match=f"^arc {arc_id} produced non-finite values$"):
+                propagate(g, g.output_node, np.asfortranarray(np.zeros((4, 3))), through_arc)
 
 
 def test_forward_trace_covers_all_nodes():

@@ -340,6 +340,30 @@ def test_fields_outside_the_declared_kind_are_rejected(elem):
         dag_from_dict(data)
 
 
+@pytest.mark.parametrize(
+    "elem, message",
+    [
+        ({"kind": "affine", "W": [[1.0, 0.0], [0.0, 1.0]], "bias": [1.0, 1.0]}, "unknown field 'bias'"),
+        ({"kind": "identity", "weight": [[1.0, 0.0], [0.0, 1.0]]}, "unknown field 'weight'"),
+        ({"kind": "activation", "cpwl": _RELU, "Cpwl": _RELU}, "unknown field 'Cpwl'"),
+        (
+            {"kind": "activation", "pool": {"kind": "maxlu", "block": 2}, "cpwl": _RELU},
+            "holds both 'pool' and 'cpwl'",
+        ),
+        (
+            {"kind": "activation_affine", "W": [[1.0, 0.0], [0.0, 1.0]], "cpwl": _RELU, "pool": {"kind": "maxpool", "block": 2}},
+            "holds both 'pool' and 'cpwl'",
+        ),
+    ],
+    ids=["misspelt_bias", "identity_with_weight", "capitalised_cpwl", "pool_and_cpwl", "affine_pool_and_cpwl"],
+)
+def test_fields_of_no_kind_and_two_activations_are_rejected(elem, message):
+    data = _small_network()
+    data["arcs"][0]["elem"] = elem
+    with pytest.raises(NetworkFormatError, match=rf"^arcs\[0\]\.elem: {message}"):
+        dag_from_dict(data)
+
+
 def test_integral_numbers_load_as_integers():
     data = _small_network()
     data["input_dim"] = 2.0
