@@ -20,6 +20,7 @@ codes deterministic on measure-zero boundary sets.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
@@ -231,6 +232,9 @@ def activation_bound(spec: CpwlSpec) -> float:
 def pool_values(spec: PoolSpec, x) -> np.ndarray:
     """Blockwise max along the last axis; rectified pools clamp at zero."""
     arr = np.asarray(x, dtype=float)
+    # the max can drop a non-finite entry; a sum is non-finite if any entry is
+    if not math.isfinite(arr.sum()) and not np.isfinite(arr).all():
+        raise ValueError("activation input must be finite")
     if arr.shape[-1] % spec.block:
         raise ValueError(
             f"pool input length {arr.shape[-1]} is not a multiple of block {spec.block}"

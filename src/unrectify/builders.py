@@ -324,23 +324,34 @@ def _vertical_pairing(height: int, width: int) -> np.ndarray:
     """
     if height % 2:
         raise ValueError("vertical pairing needs an even height")
-    p = np.zeros((height * width, height * width))
-    for k in range(height // 2):
-        for c in range(width):
-            p[2 * (k * width + c), (2 * k) * width + c] = 1.0
-            p[2 * (k * width + c) + 1, (2 * k + 1) * width + c] = 1.0
+    order = np.arange(height * width).reshape(height // 2, 2, width).transpose(0, 2, 1)
+    p = np.zeros((height * width, height * width))  # np.eye(n)[order] writes n^2 entries twice
+    p[np.arange(height * width), order.ravel()] = 1.0
     return p
 
 
-def _pool_stage(b: GraphBuilder, src: int, height: int, width: int, label: str, labels: dict) -> int:
-    """Two rectified block-2 pools halving width then height of a plane."""
+def _conv_stage(b: GraphBuilder, rng, src: int, in_shape, n_out: int, pad: int, name: str, labels: dict) -> int:
+    """``n_out`` seeded 5x5 stride-1 convolution channels of the ``in_shape``
+    planes at ``src``, each pooled by two rectified block-2 pools (width,
+    then height), concatenated; returns the concatenation node."""
+    n_in, height, _ = in_shape
+    kernels = rng.standard_normal((n_out, n_in, 5, 5)) / np.sqrt(n_in * 25)
+    biases = 0.1 * rng.standard_normal(n_out)
+    side = height + 2 * pad - 4  # output planes are side x side
     pool = PoolSpec(block=2, rectified=True)
-    horiz = b.add_relay(src, Activation(pool, height * width))
-    labels[label + ".h"] = horiz
-    pairing = _vertical_pairing(height, width // 2)
-    vert = b.add_relay(horiz, ActivationAffine(pool, pairing))
-    labels[label + ".v"] = vert
-    return vert
+    pooled = []
+    for c in range(n_out):
+        w, bias = conv2d_affine(kernels[c], biases[c], in_shape, pad=pad)
+        conv = labels[f"{name}.conv.{c}"] = b.add_relay(src, Affine(w, bias))
+        horiz = labels[f"{name}.pool.{c}.h"] = b.add_relay(conv, Activation(pool, side * side))
+        pairing = _vertical_pairing(side, side // 2)
+        vert = labels[f"{name}.pool.{c}.v"] = b.add_relay(horiz, ActivationAffine(pool, pairing))
+        pooled.append(vert)
+    cat = b.add_node(ROLE_CONCAT)
+    for nid in pooled:
+        b.connect(nid, cat, Identity(side * side // 4))
+    labels[f"{name}.concat"] = cat
+    return cat
 
 
 def build_lenet5(seed: int = 0) -> Dag:
@@ -355,9 +366,6 @@ def build_lenet5(seed: int = 0) -> Dag:
     """
     rng = np.random.default_rng(seed)
 
-    def kernels(n_out, n_in, k):
-        return rng.standard_normal((n_out, n_in, k, k)) / np.sqrt(n_in * k * k)
-
     def dense(rows, cols):
         w = rng.standard_normal((rows, cols)) / np.sqrt(cols)
         return w, 0.1 * rng.standard_normal(rows)
@@ -365,32 +373,8 @@ def build_lenet5(seed: int = 0) -> Dag:
     b = GraphBuilder(28 * 28)
     labels: dict = {}
     act = relu_spec()
-
-    k1 = kernels(6, 1, 5)
-    bias1 = 0.1 * rng.standard_normal(6)
-    stage1_out = []
-    for c in range(6):
-        w, bias = conv2d_affine(k1[c], bias1[c], (1, 28, 28), stride=1, pad=2)
-        conv = b.add_relay(0, Affine(w, bias))
-        labels[f"stage1.conv.{c}"] = conv
-        stage1_out.append(_pool_stage(b, conv, 28, 28, f"stage1.pool.{c}", labels))
-    cat1 = b.add_node(ROLE_CONCAT)
-    for nid in stage1_out:
-        b.connect(nid, cat1, Identity(14 * 14))
-    labels["stage1.concat"] = cat1
-
-    k2 = kernels(16, 6, 5)
-    bias2 = 0.1 * rng.standard_normal(16)
-    stage2_out = []
-    for c in range(16):
-        w, bias = conv2d_affine(k2[c], bias2[c], (6, 14, 14), stride=1, pad=0)
-        conv = b.add_relay(cat1, Affine(w, bias))
-        labels[f"stage2.conv.{c}"] = conv
-        stage2_out.append(_pool_stage(b, conv, 10, 10, f"stage2.pool.{c}", labels))
-    cat2 = b.add_node(ROLE_CONCAT)
-    for nid in stage2_out:
-        b.connect(nid, cat2, Identity(5 * 5))
-    labels["stage2.concat"] = cat2
+    cat1 = _conv_stage(b, rng, 0, (1, 28, 28), 6, 2, "stage1", labels)
+    cat2 = _conv_stage(b, rng, cat1, (6, 14, 14), 16, 0, "stage2", labels)
 
     w, bias = dense(120, 400)
     fc1 = b.add_relay(cat2, ActivationAffine(act, w, bias))

@@ -52,32 +52,32 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frobenius", action="store_true", help="use Frobenius-norm level sums")
 
     p = sub.add_parser("fusion-stack", help="fusion stack partition statistics")
-    p.add_argument("--dims", type=int, default=14)
-    p.add_argument("--layers", dest="layer_count", type=int, default=5)
-    p.add_argument("--samples", dest="sample_count", type=int, default=5000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", dest="output_dir", default="out")
+    p.add_argument("--dims", type=int)
+    p.add_argument("--layers", dest="layer_count", type=int)
+    p.add_argument("--samples", dest="sample_count", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--out", dest="output_dir")
 
     p = sub.add_parser("stability-gain", help="gain curves and certificates")
-    p.add_argument("--dims", type=int, default=20)
-    p.add_argument("--layers", dest="layer_count", type=int, default=5)
-    p.add_argument("--samples", dest="sample_count", type=int, default=2000)
-    p.add_argument("--pair-budget", type=int, default=2_000_000)
+    p.add_argument("--dims", type=int)
+    p.add_argument("--layers", dest="layer_count", type=int)
+    p.add_argument("--samples", dest="sample_count", type=int)
+    p.add_argument("--pair-budget", type=int)
     p.add_argument("--scaled", action="store_true", help="summarize the rescaled run")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", dest="output_dir", default="out")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--out", dest="output_dir")
 
     p = sub.add_parser("lenet-partition", help="partition statistics at probe levels")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--mnist-dir", help="directory with IDX train files")
     group.add_argument("--synthetic", action="store_true", help="use synthetic images")
-    p.add_argument("--subset", type=int, default=500)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", dest="output_dir", default="out")
+    p.add_argument("--subset", type=int, help="images used; 0 keeps every IDX image")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--out", dest="output_dir")
 
     p = sub.add_parser("regions-2d", help="exact 2-D region counts")
-    p.add_argument("--grid", dest="grid_n", type=int, default=2001)
-    p.add_argument("--out", dest="output_dir", default="out")
+    p.add_argument("--grid", dest="grid_n", type=int)
+    p.add_argument("--out", dest="output_dir")
     return parser
 
 
@@ -136,10 +136,11 @@ def _cmd_rescale(args) -> int:
 
 
 def _config(args, **overrides) -> ExperimentConfig:
-    """The command's config; each experiment flag's ``dest`` is a field name."""
+    """The command's config from the flags given, a None flag or override
+    taking the config's default; each flag's ``dest`` is a field name."""
     names = {f.name for f in fields(ExperimentConfig)}
-    given = {k: v for k, v in vars(args).items() if k in names}
-    return ExperimentConfig(experiment=args.command.replace("-", "_"), **given, **overrides)
+    given = {k: v for k, v in {**vars(args), **overrides}.items() if k in names and v is not None}
+    return ExperimentConfig(experiment=args.command.replace("-", "_"), **given)
 
 
 def _cmd_fusion_stack(args) -> int:
@@ -166,8 +167,9 @@ def _cmd_stability_gain(args) -> int:
 
 
 def _cmd_lenet_partition(args) -> int:
-    cfg = _config(args, sample_count=args.subset or 500)
-    result = run_lenet_partition(cfg, mnist_dir=args.mnist_dir, synthetic=args.synthetic, subset=args.subset)
+    cfg = _config(args, sample_count=args.subset or None)
+    subset = cfg.sample_count if args.subset is None else args.subset
+    result = run_lenet_partition(cfg, mnist_dir=args.mnist_dir, synthetic=args.synthetic, subset=subset)
     print(f"wrote {result.csv_path}" + (" (synthetic images)" if result.synthetic else ""))
     for level in (3, 4, 7, 8):
         s = result.stats[level]

@@ -65,10 +65,15 @@ EXPERIMENTS = ("fusion_stack", "lenet_partition", "stability_gain", "regions_2d"
 
 @dataclass
 class ExperimentConfig:
+    """One experiment's settings, defaults included; the CLI passes only the
+    flags given.  Left ``None``, ``dims`` is 20 for ``stability_gain`` and 14
+    otherwise, and ``sample_count`` is 2,000 for ``stability_gain``, 500
+    images for ``lenet_partition`` and 5,000 otherwise."""
+
     experiment: str
-    dims: int = 14
+    dims: Optional[int] = None
     layer_count: int = 5
-    sample_count: int = 5000
+    sample_count: Optional[int] = None
     seed: int = 0
     pair_budget: int = 2_000_000
     grid_n: int = 2001
@@ -77,6 +82,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
+        if self.dims is None:
+            self.dims = 20 if self.experiment == "stability_gain" else 14
+        if self.sample_count is None:
+            self.sample_count = {"stability_gain": 2000, "lenet_partition": 500}.get(self.experiment, 5000)
         for name in ("dims", "layer_count", "sample_count", "pair_budget", "grid_n"):
             if (value := getattr(self, name)) < 1:
                 raise ValueError(f"{name} must be at least 1, got {value}")

@@ -6,7 +6,8 @@ affine piece of that node's function is active.  Partitions are represented
 by these sampled region codes rather than explicit polyhedra.  A 2-D lattice
 count covers the small exact cases: without transforms each region is an
 intersection of half-spaces, hence convex, so the count refines only the
-lattice cells whose corners carry different codes.
+lattice cells whose corners carry different codes, in strips of
+``ROW_BLOCK`` rows; ``partition_stats`` pools regions under ``DIRECT_ENTRIES``.
 
 A batch of samples is labelled by one primitive, ``_region_labels``: it folds
 the codes of the node's activation arcs, in code order, into one dense integer
@@ -46,6 +47,9 @@ __all__ = [
     "fusion_partition_bound",
     "max_pairwise_distance",
 ]
+
+DIRECT_ENTRIES = 1 << 13  # regions this small (pairs x row width) are pooled unscreened
+ROW_BLOCK = 128  # lattice rows per strip of count_regions_2d, and its starting cell side
 
 
 class NotPiecewiseAffineError(ValueError):
@@ -332,11 +336,11 @@ def partition_stats(
 
     Samples are grouped by region code; the intra-region distance is the
     largest pairwise distance in a group, as ``max_pairwise_distance`` with
-    the same ``pair_cap`` and ``seed`` computes it.  The groups it would
-    measure whole (pairs within the cap, pairs x row width at most
-    ``stability.DIRECT_ENTRIES``) are pooled into one chunked gather of the
-    same exact form, which gives the same maximum bit for bit; each other
-    group keeps its own call.  A given ``trace`` must be the one
+    the same ``pair_cap`` and ``seed`` computes it.  The groups within the
+    cap of at most ``DIRECT_ENTRIES`` pairs x row width, too small to repay
+    a screen, are pooled into one chunked gather of the same exact form,
+    which gives the same maximum bit for bit; each other group keeps its
+    own call.  A given ``trace`` must be the one
     ``forward_batch(dag, samples)`` returned; the arc codes in its table are
     shared with every other query on it.
     """
@@ -351,7 +355,7 @@ def partition_stats(
     pooled, results = {}, []  # regions to pool, by size; (distance, sampled) per measure
     for chunk in _shared_regions(labels_arr):
         pairs = len(chunk) * (len(chunk) - 1) // 2
-        direct = pairs * xs.shape[1] <= stability.DIRECT_ENTRIES
+        direct = pairs * xs.shape[1] <= DIRECT_ENTRIES
         if direct and (pair_cap is None or pairs <= pair_cap):
             pooled.setdefault(len(chunk), []).append(chunk)
         else:
@@ -404,7 +408,6 @@ def count_regions_2d(
     box: tuple[float, float] = (-5.0, 5.0),
     grid_n: int = 2001,
     node_id: Optional[int] = None,
-    row_block: int = 128,
 ) -> int:
     """Distinct region codes over a grid_n x grid_n lattice on box^2.
 
@@ -412,7 +415,7 @@ def count_regions_2d(
     refined.  Without a transform arc in the node's sub-graph each code fixes
     one affine map, so its region is an intersection of half-planes, hence
     convex: a rectangle whose four corners share a code holds no other code.
-    The lattice is walked in strips of ``row_block`` rows, which is also the
+    The lattice is walked in strips of ``ROW_BLOCK`` rows, which is also the
     side of the starting cells.  Each round labels the distinct corners of
     the live cells, keeping one point per label, and bisects the cells whose
     corners disagree along each side longer than one step.  Transforms
@@ -422,19 +425,18 @@ def count_regions_2d(
     """
     if dag.input_dim != 2:
         raise ValueError("the grid oracle needs a 2-D input space")
-    for name, value in (("grid_n", grid_n), ("row_block", row_block)):
-        if value < 1:
-            raise ValueError(f"{name} must be at least 1, got {value}")
+    if grid_n < 1:
+        raise ValueError(f"grid_n must be at least 1, got {grid_n}")
     node = dag.output_node if node_id is None else node_id
-    side = row_block if _first_transform(dag, node) is None else 2
+    side = ROW_BLOCK if _first_transform(dag, node) is None else 2
     axis = np.linspace(float(box[0]), float(box[1]), grid_n)
 
-    hit = np.zeros(min(row_block, grid_n) * grid_n, dtype=bool)
+    hit = np.zeros(min(ROW_BLOCK, grid_n) * grid_n, dtype=bool)
     col_tiles = _tiles(grid_n, side)
     cols = np.union1d(*col_tiles)
     reps = []
-    for r0 in range(0, grid_n, row_block):
-        first, last = _tiles(min(row_block, grid_n - r0), side)
+    for r0 in range(0, grid_n, ROW_BLOCK):
+        first, last = _tiles(min(ROW_BLOCK, grid_n - r0), side)
         cells = np.stack(np.broadcast_arrays(first[:, None], last[:, None], *col_tiles)).reshape(4, -1)
         # the starting cells' distinct corners: every edge row with every edge column
         rows = np.union1d(first, last)

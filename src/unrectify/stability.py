@@ -49,7 +49,6 @@ __all__ = [
 
 SUM_TOLERANCE = 1e-12
 PAIR_BLOCK = 1 << 15  # Gram entries per row block of a pair sweep: 16 rows at n = 2,000
-DIRECT_ENTRIES = 1 << 13  # pair sweeps this small (pairs x row width) skip the screen
 _EPS = np.finfo(float).eps
 
 
@@ -334,8 +333,7 @@ def _max_pair_ratios(
     every pair whose upper bound can reach that maximum is measured exactly,
     which includes every pair whose denominator bound reaches zero.  Pairs
     surely at least ``min_distance`` apart are counted from the bound, the
-    ambiguous ones are measured.  Inputs under ``DIRECT_ENTRIES`` (pairs
-    times row width) are measured whole, which costs less than screening.
+    ambiguous ones are measured.
     """
     n = len(values[0])
 
@@ -351,10 +349,6 @@ def _max_pair_ratios(
             top, kept = exact(values, i, rng.integers(0, n, size=take))
             best, used = np.maximum(best, top), used + kept
         return best, used, True
-
-    width = sum(v.shape[1] for v in values) + (0 if xs is None else xs.shape[1])
-    if n * (n - 1) // 2 * width <= DIRECT_ENTRIES:
-        return (*exact(values, *np.nonzero(np.arange(n)[:, None] < np.arange(n))), False)
 
     screens = [_screen(v) for v in values]
     x_screen = None if xs is None else _screen(xs)

@@ -18,6 +18,7 @@ from unrectify import (
     concatenate,
     duplicate,
     identity_dag,
+    partition,
     relu_spec,
     save_network,
     series,
@@ -145,10 +146,10 @@ def pair_sweep_sets() -> dict[str, tuple[np.ndarray, float]]:
     }
 
 
-# the pair sweep's row-block and direct-path constants: as shipped, with
-# every input screened, and with one-row blocks
+# the pair sweep's row block and partition_stats' pooling threshold: as
+# shipped, with every region screened, and with one-row blocks
 PAIR_SWEEP_MODES = (
-    (stability.PAIR_BLOCK, stability.DIRECT_ENTRIES),
+    (stability.PAIR_BLOCK, partition.DIRECT_ENTRIES),
     (stability.PAIR_BLOCK, 0),
     (50, 0),
 )
@@ -156,7 +157,7 @@ PAIR_SWEEP_MODES = (
 
 def set_pair_sweep_mode(monkeypatch, block: int, direct: int) -> None:
     monkeypatch.setattr(stability, "PAIR_BLOCK", block)
-    monkeypatch.setattr(stability, "DIRECT_ENTRIES", direct)
+    monkeypatch.setattr(partition, "DIRECT_ENTRIES", direct)
 
 
 @pytest.fixture(scope="session")

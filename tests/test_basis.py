@@ -157,6 +157,20 @@ def test_pool_values_and_ids():
     assert pool_ids(plain, y).tolist() == [1]
 
 
+# the check's one-pass sum overflows (or meets inf - inf) on these inputs
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("rectified", [True, False])
+def test_pool_values_reject_only_non_finite_entries(rectified):
+    spec = PoolSpec(block=2, rectified=rectified)
+    # finite entries whose sum overflows still pool
+    big = np.array([[1e308, 1e308, -1e308, 1.0], [1e308, -1e308, -1e308, -1e308]])
+    assert pool_values(spec, big).tolist() == [[1e308, 1.0], [1e308, 0.0 if rectified else -1e308]]
+    for bad in (-np.inf, np.inf, np.nan):
+        for x in (np.array([bad, 0.5]), np.array([[0.5, 1.0], [0.5, bad]])):
+            with pytest.raises(ValueError, match="^activation input must be finite$"):
+                pool_values(spec, x)
+
+
 def test_pool_block_validation():
     with pytest.raises(ValueError):
         PoolSpec(block=1)

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from unrectify import (
+    Activation,
+    ActivationAffine,
+    Affine,
+    GraphBuilder,
     GraphConstructionError,
+    Identity,
+    PoolSpec,
     build_demo_network,
     build_fusion_module,
     build_fusion_stack,
@@ -15,8 +21,11 @@ from unrectify import (
     lenet5_probe_nodes,
     levels,
     maxpool_as_relu_network,
+    relu_spec,
     validate,
 )
+from unrectify.builders import _vertical_pairing
+from unrectify.graph import ROLE_CONCAT
 
 
 def test_series_stack_matches_manual_composition():
@@ -261,6 +270,105 @@ def test_lenet5_has_22_selection_weights_found_on_first_use():
         dag.labels[f"stage{s}.pool.{c}.v"] for s, n in ((1, 6), (2, 16)) for c in range(n)
     }
     assert sum(arc.elem.weight is not None for arc in dag.arcs) == 47
+
+
+def _loop_vertical_pairing(height, width):
+    """The pairing permutation written out entry by entry."""
+    p = np.zeros((height * width, height * width))
+    for k in range(height // 2):
+        for c in range(width):
+            p[2 * (k * width + c), (2 * k) * width + c] = 1.0
+            p[2 * (k * width + c) + 1, (2 * k + 1) * width + c] = 1.0
+    return p
+
+
+def _written_out_lenet5(seed):
+    """LeNet-5 with each convolution stage written out on its own: the
+    oracle for the shared stage helper."""
+    rng = np.random.default_rng(seed)
+
+    def kernels(n_out, n_in, k):
+        return rng.standard_normal((n_out, n_in, k, k)) / np.sqrt(n_in * k * k)
+
+    def dense(rows, cols):
+        w = rng.standard_normal((rows, cols)) / np.sqrt(cols)
+        return w, 0.1 * rng.standard_normal(rows)
+
+    def pool_stage(b, src, height, width, label, labels):
+        pool = PoolSpec(block=2, rectified=True)
+        horiz = b.add_relay(src, Activation(pool, height * width))
+        labels[label + ".h"] = horiz
+        vert = b.add_relay(horiz, ActivationAffine(pool, _loop_vertical_pairing(height, width // 2)))
+        labels[label + ".v"] = vert
+        return vert
+
+    b = GraphBuilder(28 * 28)
+    labels = {}
+    act = relu_spec()
+    k1 = kernels(6, 1, 5)
+    bias1 = 0.1 * rng.standard_normal(6)
+    stage1_out = []
+    for c in range(6):
+        w, bias = conv2d_affine(k1[c], bias1[c], (1, 28, 28), stride=1, pad=2)
+        conv = b.add_relay(0, Affine(w, bias))
+        labels[f"stage1.conv.{c}"] = conv
+        stage1_out.append(pool_stage(b, conv, 28, 28, f"stage1.pool.{c}", labels))
+    cat1 = b.add_node(ROLE_CONCAT)
+    for nid in stage1_out:
+        b.connect(nid, cat1, Identity(14 * 14))
+    labels["stage1.concat"] = cat1
+    k2 = kernels(16, 6, 5)
+    bias2 = 0.1 * rng.standard_normal(16)
+    stage2_out = []
+    for c in range(16):
+        w, bias = conv2d_affine(k2[c], bias2[c], (6, 14, 14), stride=1, pad=0)
+        conv = b.add_relay(cat1, Affine(w, bias))
+        labels[f"stage2.conv.{c}"] = conv
+        stage2_out.append(pool_stage(b, conv, 10, 10, f"stage2.pool.{c}", labels))
+    cat2 = b.add_node(ROLE_CONCAT)
+    for nid in stage2_out:
+        b.connect(nid, cat2, Identity(5 * 5))
+    labels["stage2.concat"] = cat2
+    w, bias = dense(120, 400)
+    fc1 = b.add_relay(cat2, ActivationAffine(act, w, bias))
+    w, bias = dense(84, 120)
+    fc2 = b.add_relay(fc1, ActivationAffine(act, w, bias))
+    w, bias = dense(10, 84)
+    out = b.add_relay(fc2, Affine(w, bias))
+    labels["logits"] = out
+    return b.finish(out, labels)
+
+
+def _same_array(a, b):
+    if a is None or b is None:
+        return a is None and b is None
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_lenet5_equals_the_written_out_stages(seed):
+    got, want = build_lenet5(seed=seed), _written_out_lenet5(seed)
+    assert (got.input_dim, got.output_node) == (want.input_dim, want.output_node)
+    assert got.nodes == want.nodes
+    assert list(got.labels.items()) == list(want.labels.items())
+    assert len(got.arcs) == len(want.arcs)
+    for a, b in zip(got.arcs, want.arcs):
+        assert (a.id, a.src, a.dst, a.in_dim, a.out_dim) == (b.id, b.src, b.dst, b.in_dim, b.out_dim)
+        assert (a.elem.act, a.elem.spec, a.elem.dim) == (b.elem.act, b.elem.spec, b.elem.dim), a.id
+        assert _same_array(a.elem.weight, b.elem.weight), a.id
+        assert _same_array(a.elem.bias, b.elem.bias), a.id
+
+
+@pytest.mark.parametrize("height, width", [(2, 1), (2, 3), (4, 5), (6, 7), (10, 5), (28, 14), (8, 8)])
+def test_vertical_pairing_equals_the_entrywise_permutation(height, width):
+    got = _vertical_pairing(height, width)
+    assert _same_array(got, _loop_vertical_pairing(height, width))
+    assert got.flags.c_contiguous
+
+
+def test_vertical_pairing_rejects_an_odd_height():
+    with pytest.raises(ValueError, match="even height"):
+        _vertical_pairing(3, 4)
 
 
 def test_lenet5_pooling_matches_direct_2x2_maxlu():

@@ -359,6 +359,24 @@ def test_experiment_configs_equal_the_hand_copied_ones(argv, monkeypatch):
     assert calls == [_parent_runner_call(_parent_parser().parse_args(argv))]
 
 
+@pytest.mark.parametrize("command", ["fusion-stack", "stability-gain", "lenet-partition", "regions-2d"])
+def test_experiment_config_defaults_are_the_cli_defaults(command, monkeypatch):
+    from unrectify import cli
+    from unrectify.experiments import ExperimentConfig
+
+    configs = []
+
+    def run(cfg, **kwargs):
+        configs.append(cfg)
+        raise _Ran
+
+    for name in ("run_fusion_stack", "run_stability_gain", "run_lenet_partition", "run_regions_2d"):
+        monkeypatch.setattr(cli, name, run)
+    with pytest.raises(_Ran):
+        main([command])
+    assert configs == [ExperimentConfig(command.replace("-", "_"))]
+
+
 @pytest.mark.parametrize(
     "argv, field",
     [

@@ -140,6 +140,20 @@ def test_non_finite_arc_output_names_the_arc():
                 run()
     with pytest.raises(ValueError, match="arc 1 "):
         affine_piece(cpwl, cpwl.output_node, np.ones(2))
+    # a pre-activation of -inf beside a finite entry of its block would lose
+    # the block max and leave every node value finite
+    for rectified in (True, False):
+        pool = ActivationAffine(PoolSpec(2, rectified=rectified), [[-1e200, 0.0], [0.0, 1.0]])
+        net = series(series(identity_dag(2), Affine(np.eye(2))), pool)
+        x = np.array([1e200, 0.5])
+        for run in (
+            lambda: forward(net, x),
+            lambda: forward_batch(net, np.tile(x, (3, 1))),
+            lambda: region_code(net, net.output_node, x),
+            lambda: affine_piece(net, net.output_node, x),
+        ):
+            with pytest.raises(ValueError, match="^arc 1 activation input must be finite$"):
+                run()
 
 
 def test_non_finite_fortran_ordered_value_names_the_arc():

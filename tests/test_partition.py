@@ -418,7 +418,7 @@ def test_count_regions_2d_nine_rectifiers():
     assert count_regions_2d(net, grid_n=201) == len(np.unique(signs, axis=0))
 
 
-def test_region_labels_wide_alphabets_match_codes():
+def test_region_labels_wide_alphabets_match_codes(monkeypatch):
     rng = np.random.default_rng(22)
     knots = np.linspace(-3.0, 3.0, 45)
     many_knots = CpwlSpec(right_pieces=[(0.1, k) for k in knots])
@@ -430,11 +430,12 @@ def test_region_labels_wide_alphabets_match_codes():
     ]
     box, grid_n = (-4.0, 4.0), 41
     pts = _lattice(box, grid_n)
+    monkeypatch.setattr(partition, "ROW_BLOCK", 8)
     for net in nets:
         codes = {region_code(net, net.output_node, x).segments for x in pts}
         assert len(codes) > 100
         assert partition_stats(net, net.output_node, pts).region_count == len(codes)
-        assert count_regions_2d(net, box=box, grid_n=grid_n, row_block=8) == len(codes)
+        assert count_regions_2d(net, box=box, grid_n=grid_n) == len(codes)
 
 
 def _refinement_cases():
@@ -455,29 +456,32 @@ def _refinement_cases():
         yield build_fusion_module([rng.standard_normal((2, 2)), rng.standard_normal((2, 2))])
 
 
-def test_count_regions_2d_equals_full_lattice_labels():
+def test_count_regions_2d_equals_full_lattice_labels(monkeypatch):
     # cell refinement must count exactly the distinct codes of every lattice point
     for net in _refinement_cases():
         for box, grid_n in (((-5.0, 5.0), 101), ((-3.0, 4.0), 257)):
             expected = _region_labels(net, net.output_node, _lattice(box, grid_n))[1]
             for row_block in (1, 16, 128, grid_n + 43):
-                got = count_regions_2d(net, box=box, grid_n=grid_n, row_block=row_block)
+                monkeypatch.setattr(partition, "ROW_BLOCK", row_block)
+                got = count_regions_2d(net, box=box, grid_n=grid_n)
                 assert got == expected, (box, grid_n, row_block)
 
 
-def test_count_regions_2d_labels_every_point_through_transforms():
+def test_count_regions_2d_labels_every_point_through_transforms(monkeypatch):
     # relu(tanh(x0 - 2) - tanh(x0 + 2) + 1) is active only near both ends of
     # the x0 range: one code on two pieces, whose corners all agree
     squash = TransformAffine(TransformSpec("tanh"), np.array([[1.0, 0.0], [1.0, 0.0]]), [-2.0, 2.0])
     gap = ActivationAffine(relu_spec(), np.array([[1.0, -1.0]]), np.array([1.0]))
     net = series(series(identity_dag(2), squash), gap)
-    assert count_regions_2d(net, grid_n=41, row_block=40) == 2
+    monkeypatch.setattr(partition, "ROW_BLOCK", 40)
+    assert count_regions_2d(net, grid_n=41) == 2
 
 
-def test_count_regions_2d_smallest_grids():
+def test_count_regions_2d_smallest_grids(monkeypatch):
     assert count_regions_2d(relu_layer(2), grid_n=1) == 1
     assert count_regions_2d(relu_layer(2), grid_n=2) == 4
-    assert count_regions_2d(relu_layer(2), grid_n=2, row_block=1) == 4
+    monkeypatch.setattr(partition, "ROW_BLOCK", 1)
+    assert count_regions_2d(relu_layer(2), grid_n=2) == 4
 
 
 def test_count_regions_2d_requires_2d():
@@ -485,7 +489,7 @@ def test_count_regions_2d_requires_2d():
         count_regions_2d(relu_layer(3))
 
 
-@pytest.mark.parametrize("name", ["grid_n", "row_block"])
+@pytest.mark.parametrize("name", ["grid_n"])
 @pytest.mark.parametrize("value", [0, -3])
 def test_count_regions_2d_rejects_empty_grid_arguments(name, value):
     with pytest.raises(ValueError, match=f"{name} must be at least 1, got {value}"):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -86,7 +88,13 @@ def test_spectral_norm_scaling(seed, scale):
 def test_frobenius_sum_dominates(seed):
     rng = np.random.default_rng(seed)
     dag = random_valid_dag(rng, n_ops=5)
-    for entry in level_sums(dag):
+    linear = all(arc.elem.act is None and arc.elem.spec is None for arc in dag.arcs)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        sums = level_sums(dag)
+    expected = ["no activation or transform present; uniform bound defaults to 1"] if linear else []
+    assert [str(w.message) for w in caught] == expected
+    for entry in sums:
         assert entry.frob_sum >= entry.sum - 1e-12
 
 
