@@ -71,6 +71,19 @@ def _vector(value, rows: int) -> np.ndarray:
     return arr
 
 
+def selection_columns(weight: np.ndarray) -> Optional[np.ndarray]:
+    """Column each row of a float matrix picks, when every row holds a
+    single entry 1.0 and all other entries are +0.0; None otherwise.  The
+    whole matrix is scanned only when its first row passes."""
+    bits = weight.view(np.int64)
+    if np.count_nonzero(bits[0]) != 1:
+        return None
+    rows, cols = np.nonzero(bits)
+    if len(rows) != len(bits) or (rows != np.arange(len(bits))).any():
+        return None
+    return cols if (weight[rows, cols] == 1.0).all() else None
+
+
 @dataclass(frozen=True, eq=False)
 class ArcElement:
     """Optional affine map (bias None for a linear one), then at most one of
@@ -129,18 +142,8 @@ class ArcElement:
 
     @cached_property
     def selection(self) -> Optional[np.ndarray]:
-        """Column each row of the weight picks, when every row holds a single
-        entry 1.0 and all other entries are +0.0; None otherwise.  The whole
-        weight is scanned only when its first row passes."""
-        if self.weight is None:
-            return None
-        bits = self.weight.view(np.int64)
-        if np.count_nonzero(bits[0]) != 1:
-            return None
-        rows, cols = np.nonzero(bits)
-        if len(rows) != len(bits) or (rows != np.arange(len(bits))).any():
-            return None
-        return cols if (self.weight[rows, cols] == 1.0).all() else None
+        """Column each row of the weight picks (``selection_columns``), or None."""
+        return None if self.weight is None else selection_columns(self.weight)
 
     def weight_product(self, values: np.ndarray) -> np.ndarray:
         """``values @ W.T``.  A selection gathers its columns instead, into a

@@ -6,7 +6,8 @@ incoming arc value, a concat node stacks incoming arc values in a fixed
 order, an add node sums them, and a duplicate node is a relay whose value
 fans out over several outgoing arcs.  Values, and anything else carried
 node by node, are computed by one walk, ``propagate``, over the ancestor
-closure of a node in topological order.  Graphs are immutable once built; the
+closure of a node in topological order; a walk that wants only the node's
+value drops each value after its last reader.  Graphs are immutable once built; the
 combinators ``series``, ``concatenate``, and ``duplicate`` return new graphs
 and never mutate their arguments.
 """
@@ -145,6 +146,24 @@ class Dag:
             keep = ancestors(self, node_id) | {node_id}
             self._closures[node_id] = tuple(n for n in self.topo_order if n in keep)
         return self._closures[node_id]
+
+    @cached_property
+    def _releases(self) -> dict[int, tuple[tuple[int, ...], ...]]:
+        return {}
+
+    def releases(self, node_id: int) -> tuple[tuple[int, ...], ...]:
+        """Per position of the node's closure, the nodes whose last reading
+        arc within the closure enters the node at that position: once it
+        is computed, their values are dead.  The node itself is never
+        listed, since no arc of its closure reads it."""
+        if node_id not in self._releases:
+            closure = self.closure(node_id)
+            last = {arc.src: pos for pos, nid in enumerate(closure) for arc in self.in_arcs[nid]}
+            dead: list[list[int]] = [[] for _ in closure]
+            for nid, pos in last.items():
+                dead[pos].append(nid)
+            self._releases[node_id] = tuple(map(tuple, dead))
+        return self._releases[node_id]
 
     @cached_property
     def node_dims(self) -> tuple[int, ...]:
@@ -326,7 +345,7 @@ def _ordered_in_arcs(dag: Dag, node: Node) -> tuple[Arc, ...]:
     return dag.in_arcs[node.id]
 
 
-def propagate(dag: Dag, node_id: int, start, through_arc) -> dict:
+def propagate(dag: Dag, node_id: int, start, through_arc, release: bool = False) -> dict:
     """Values over the node's closure, by induction from the input's ``start``.
 
     Each arc maps its source node's value by ``through_arc(arc, value)``;
@@ -334,9 +353,18 @@ def propagate(dag: Dag, node_id: int, start, through_arc) -> dict:
     takes its one arc value, a concat node stacks its arc values in concat
     order and an add node sums them.  A non-finite node value raises an
     error naming the arc that produced it.
+
+    By default every value is kept, so the result is a whole trace.  With
+    ``release`` a value is dropped as soon as the last arc that reads it
+    within the closure has run (``Dag.releases``), so the walk holds only
+    the values later arcs still read and the result holds the node's value
+    alone; a walk that wants one node's value, such as ``affine_piece``'s
+    walk of maps, uses it.  Neither mode changes a value or the order of
+    the work.
     """
     values = {0: start}
-    for nid in dag.closure(node_id)[1:]:
+    dead = dag.releases(node_id) if release else None
+    for pos, nid in enumerate(dag.closure(node_id)[1:], start=1):
         node = dag.nodes[nid]
         arcs = _ordered_in_arcs(dag, node)
         parts = [through_arc(arc, values[arc.src]) for arc in arcs]
@@ -355,6 +383,9 @@ def propagate(dag: Dag, node_id: int, start, through_arc) -> dict:
                 if not np.isfinite(part).all():
                     raise ValueError(f"arc {arc.id} produced non-finite values")
         values[nid] = value
+        if release:
+            for src in dead[pos]:
+                del values[src]
     return values
 
 

@@ -3,13 +3,16 @@
 For a valid graph with uniform nonlinearity gain bound d, the certified
 Lipschitz value of the level-n stacked function follows the recursion
 
-    C(0) = 1,   C(n) = d * sum over level-n nodes a, incoming arcs b->a of
-                        ||W_ab||_2 * C(level(b)),
+    C(0) = 1,   C(n) = sum over level-n nodes a, incoming arcs b->a of
+                       g_ab * ||W_ab||_2 * C(level(b)),
 
-where identity, duplication, and bare-activation arcs contribute a unit
-factor and bias terms drop out of differences.  If every level from some m
-onward satisfies d * sum ||W_ab||_2 <= 1, the running maximum of C stops
-growing and the network is certified stable.  ``certify`` forms the level
+where g_ab is d for an arc with an activation or transform and max(d, 1)
+for an arc with none (an affine map is ||W||-Lipschitz, whatever d is).
+Identity, duplication, and bare-activation arcs contribute a unit norm,
+and bias terms drop out of differences.  C(n) bounds the gain of level n
+itself.  If every level from some m onward satisfies
+sum g_ab * ||W_ab||_2 <= 1, the running maximum of C stops growing and the
+network is certified stable.  ``certify`` forms the level
 sums, C(n) and the stable suffix in one pass over the arcs grouped by level.
 The recursion sums channel contributions at concatenations; a
 root-sum-square combination would be tighter, but the summed form is the
@@ -22,13 +25,14 @@ therefore never rests on a norm rounded low.
 """
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-from .elements import uniform_bound
+from .elements import element_bound, selection_columns, uniform_bound
 from .graph import Arc, Dag, forward_batch, levels
 
 __all__ = [
@@ -60,6 +64,16 @@ def svd_spectral_norm(w) -> float:
     return float(np.linalg.svd(arr, compute_uv=False)[0])
 
 
+def _selection_norm(cols: np.ndarray) -> float:
+    """Spectral norm of a selection picking columns ``cols``: S^T S is
+    diagonal with the column multiplicities, so the norm is the square root
+    of the largest, k.  It is exact when k is a perfect square and otherwise
+    the correctly rounded root moved up one float, an upper bound."""
+    k = int(np.bincount(cols).max())
+    root = math.sqrt(k)
+    return root if math.isqrt(k) ** 2 == k else math.nextafter(root, math.inf)
+
+
 def spectral_norm(w) -> float:
     """Largest singular value of ``w``, rounded up to a guaranteed upper bound.
 
@@ -72,6 +86,10 @@ def spectral_norm(w) -> float:
     n·eps·||G||_2.  Since trace(G) = ||A||_F^2 >= ||G||_2, the margin
     exceeds their sum, so the value is never below the true norm; it sits
     at most about 2(m+n)·eps·trace(G)/||A||_2^2 relative above it.
+
+    A selection (every row a single entry 1.0, as LeNet-5's pairing
+    permutations are) skips the eigensolve: its norm is known exactly
+    (``_selection_norm``).
     """
     arr = np.asarray(w, dtype=float)
     if arr.ndim != 2:
@@ -80,6 +98,9 @@ def spectral_norm(w) -> float:
         raise ValueError("matrix entries must be finite")
     if arr.size == 0:
         return 0.0
+    cols = selection_columns(arr)
+    if cols is not None:
+        return _selection_norm(cols)
     gram = arr @ arr.T if arr.shape[0] <= arr.shape[1] else arr.T @ arr
     top = float(np.linalg.eigvalsh(gram)[-1])
     margin = 2.0 * sum(arr.shape) * np.finfo(float).eps * float(np.trace(gram))
@@ -156,23 +177,43 @@ def _arcs_by_level(dag: Dag) -> tuple[dict[int, int], list[list[Arc]]]:
 
 
 def level_sums(dag: Dag, d: Optional[float] = None) -> list[LevelSum]:
-    """d-scaled sums of arc weight norms per destination level, 1..L.
+    """Gain-scaled sums of arc weight norms per destination level, 1..L.
 
     Only the linear part of each arc enters; biases cancel in differences.
-    Identity, duplication, and bare activation or transform arcs count 1.
+    Identity, duplication, and bare activation or transform arcs have norm
+    1; each arc's norm is scaled by its gain bound as in ``certify``.
     """
     return list(certify(dag, d).level_sums)
+
+
+def _arc_gains(dag: Dag, d: Optional[float]) -> tuple[float, float, dict[int, float]]:
+    """The uniform bound d, a common factor, and each arc's gain over it.
+
+    ``d`` read from the elements bounds only the nonlinearities; an arc with
+    no activation or transform has gain one, so it counts max(d, 1), and an
+    arc with a nonlinearity counts d.  The common factor is max(d, 1) and an
+    arc's share is its gain divided by it, d / d = 1 when d >= 1, so a sum
+    formed as factor * sum(share * term) has the bits of d * sum(term).  A
+    given ``d`` is taken as the paper's uniform bound of every arc, linear
+    ones included: every share is one and the factor is d.
+    """
+    if d is None:
+        d = uniform_bound(arc.elem for arc in dag.arcs)
+        scale = max(d, 1.0)
+        return d, scale, {a.id: 1.0 if element_bound(a.elem) is None else d / scale for a in dag.arcs}
+    if not 0.0 <= d < np.inf:
+        raise ValueError(f"d must be finite and nonnegative, got {d}")
+    return d, d, {arc.id: 1.0 for arc in dag.arcs}
 
 
 def certify(dag: Dag, d: Optional[float] = None) -> StabilityReport:
     """Certify stability: level sums, the first all-suffix-stable level, and
     the certified Lipschitz recursion values, in one pass over the levels;
-    each arc's spectral norm is computed once and serves both."""
+    each arc's spectral norm is computed once and serves both.  Each arc
+    counts its gain bound (``_arc_gains``): d, or max(d, 1) for an arc with
+    no nonlinearity when d is read from the elements."""
     dag.require_valid()
-    if d is None:
-        d = uniform_bound(arc.elem for arc in dag.arcs)
-    if not 0.0 <= d < np.inf:
-        raise ValueError(f"d must be finite and nonnegative, got {d}")
+    d, scale, share = _arc_gains(dag, d)
     spectral = _arc_norms(dag, "spectral")
     frob = _arc_norms(dag, "frobenius")
     lvl, per_level = _arcs_by_level(dag)
@@ -181,11 +222,11 @@ def certify(dag: Dag, d: Optional[float] = None) -> StabilityReport:
         # plain += in arc order, so the totals round alike on every Python
         spec_total = frob_total = total = 0.0
         for arc in arcs:
-            spec_total += spectral[arc.id]
-            frob_total += frob[arc.id]
-            total += spectral[arc.id] * c[lvl[arc.src]]
-        sums.append(LevelSum(level=n, sum=d * spec_total, frob_sum=d * frob_total))
-        c.append(d * total)
+            spec_total += share[arc.id] * spectral[arc.id]
+            frob_total += share[arc.id] * frob[arc.id]
+            total += share[arc.id] * spectral[arc.id] * c[lvl[arc.src]]
+        sums.append(LevelSum(level=n, sum=scale * spec_total, frob_sum=scale * frob_total))
+        c.append(scale * total)
         if not sums[-1].sum <= 1.0 + SUM_TOLERANCE:
             stable_from = None
         elif stable_from is None:
@@ -209,7 +250,7 @@ def rescale_to_stability(dag: Dag, use_frobenius: bool = False) -> Dag:
     Only linear parts change; biases are preserved.
     """
     dag.require_valid()
-    d = uniform_bound(arc.elem for arc in dag.arcs)
+    _, scale, share = _arc_gains(dag, None)
     norms = _arc_norms(dag, "frobenius" if use_frobenius else "spectral")
     _, per_level = _arcs_by_level(dag)
 
@@ -218,10 +259,10 @@ def rescale_to_stability(dag: Dag, use_frobenius: bool = False) -> Dag:
         unit_mass = weighted = 0.0
         for arc in arcs:
             if arc.elem.weight is None:
-                unit_mass += 1.0
+                unit_mass += share[arc.id]
             else:
-                weighted += norms[arc.id]
-        unit_mass, weighted = d * unit_mass, d * weighted
+                weighted += share[arc.id] * norms[arc.id]
+        unit_mass, weighted = scale * unit_mass, scale * weighted
         total = unit_mass + weighted
         if total <= 1.0 + SUM_TOLERANCE:
             continue
@@ -437,20 +478,17 @@ def soundness_check(
 ) -> SoundnessReport:
     """Assert measured gains never beat the certified bound.
 
-    The bound at level n is the running maximum of the certified recursion
-    up to n; a violation signals an implementation bug, since the bound is
-    proven for every input pair.
+    The bound at level n is C(n) itself, which bounds the level-n gain for
+    every input pair; a violation signals an implementation bug.
     """
     if report is None:
         report = certify(dag)
     curve = empirical_gain(dag, samples, pair_budget=pair_budget, seed=seed)
     violations = []
-    running = 0.0
-    for lev in curve.levels:
-        running = max(running, report.certified_C[lev])
-        gain = curve.gains[lev]
-        if gain > running + tolerance:
-            violations.append((lev, float(gain), float(running)))
+    for lev, gain in zip(curve.levels, curve.gains):
+        bound = report.certified_C[lev]
+        if gain > bound + tolerance:
+            violations.append((lev, float(gain), float(bound)))
     return SoundnessReport(
         ok=not violations,
         violations=tuple(violations),

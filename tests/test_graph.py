@@ -15,7 +15,9 @@ from unrectify import (
     TransformAffine,
     TransformSpec,
     affine_piece,
+    build_demo_network,
     build_fusion_module,
+    build_lenet5,
     build_series_stack,
     computable_subgraph,
     concatenate,
@@ -379,3 +381,42 @@ def test_combinators_keep_a_permuted_concat_order():
     ):
         got, _ = forward_batch(combined, xs)
         assert np.array_equal(got, np.hstack([expected] * copies))
+
+
+def _release_graphs():
+    rng = np.random.default_rng(47)
+    return [random_valid_dag(rng, n_ops=int(rng.integers(4, 14))) for _ in range(12)] + [
+        build_demo_network(),
+        build_lenet5(seed=0),
+    ]
+
+
+def test_release_schedule_drops_each_value_after_its_last_reader():
+    for dag in _release_graphs():
+        for node_id in range(len(dag.nodes)):
+            closure = dag.closure(node_id)
+            schedule = dag.releases(node_id)
+            assert len(schedule) == len(closure)
+            dropped = [nid for dead in schedule for nid in dead]
+            assert sorted(dropped) == sorted(closure[:-1])  # each once, never the node
+            for pos, dead in enumerate(schedule):
+                for nid in dead:
+                    readers = [p for p, dst in enumerate(closure) if any(a.src == nid for a in dag.in_arcs[dst])]
+                    assert pos == max(readers)
+            assert dag.releases(node_id) is schedule  # worked out once per node
+
+
+def test_released_walk_returns_the_full_walks_bits_at_every_node():
+    rng = np.random.default_rng(48)
+    for dag in _release_graphs():
+        xs = rng.uniform(-1.0, 1.0, (3, dag.input_dim))
+
+        def through_arc(arc, value):
+            return arc.elem.apply(value)
+
+        for node_id in range(len(dag.nodes)):
+            full = propagate(dag, node_id, xs, through_arc)
+            released = propagate(dag, node_id, xs, through_arc, release=True)
+            assert list(released) == [node_id]
+            assert released[node_id].tobytes() == full[node_id].tobytes()
+            assert released[node_id].strides == full[node_id].strides

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import PAIR_SWEEP_MODES, pair_sweep_sets, random_valid_dag, set_pair_sweep_mode
-from unrectify import partition
+from unrectify import graph, partition
 from unrectify import (
     Activation,
     ActivationAffine,
@@ -1059,3 +1059,41 @@ def test_single_input_queries_name_the_expected_shape(query, shape):
     message = re.escape(f"input must have shape (3,), got {shape}")
     with pytest.raises(ValueError, match=message):
         QUERIES[query](net, net.output_node, np.ones(shape))
+
+
+def test_affine_piece_on_lenet5_holds_only_the_maps_later_arcs_read():
+    # with every map of the closure kept until the call returns, the peak is 86 MB
+    dag = build_lenet5(seed=0)
+    x = np.random.default_rng(49).uniform(0.0, 1.0, 784)
+    affine_piece(dag, dag.output_node, x)  # warm: element caches, closure and schedule
+    tracemalloc.start()
+    try:
+        affine_piece(dag, dag.output_node, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40e6
+
+
+def _full_walk_pieces(monkeypatch, dag, nodes, x):
+    """affine_piece at each node with every map kept to the end, as before
+    the walk released them; kept as an oracle."""
+    with monkeypatch.context() as patch:
+        patch.setattr(partition, "propagate", lambda *args, release: graph.propagate(*args))
+        return [affine_piece(dag, n, x) for n in nodes]
+
+
+def test_released_affine_piece_keeps_the_full_walks_bits(monkeypatch):
+    rng = np.random.default_rng(50)
+    cases = [random_valid_dag(rng, n_ops=int(rng.integers(4, 14))) for _ in range(12)]
+    cases = [(dag, range(len(dag.nodes))) for dag in cases + [build_demo_network()]]
+    lenet = build_lenet5(seed=0)
+    probes = lenet5_probe_nodes(lenet)
+    cases.append((lenet, [probes[3][0], probes[4][0], probes[7][0], probes[8][0], lenet.output_node]))
+    for dag, nodes in cases:
+        x = rng.uniform(0.0, 1.0, dag.input_dim)
+        want = _full_walk_pieces(monkeypatch, dag, nodes, x)
+        for node, w in zip(nodes, want):
+            got = affine_piece(dag, node, x)
+            for a, b in ((got.weight, w.weight), (got.bias, w.bias)):
+                assert (a.tobytes(), a.strides) == (b.tobytes(), b.strides)

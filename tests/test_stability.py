@@ -4,11 +4,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import PAIR_SWEEP_MODES, pair_sweep_sets, random_valid_dag, set_pair_sweep_mode
+from conftest import PAIR_SWEEP_MODES, pair_sweep_sets, random_cpwl_spec, random_valid_dag, set_pair_sweep_mode
 from unrectify import (
     Activation,
     ActivationAffine,
+    Affine,
     Arc,
+    CpwlSpec,
     Dag,
     LevelSum,
     Linear,
@@ -19,6 +21,7 @@ from unrectify import (
     build_resnet_module,
     build_series_stack,
     certify,
+    concatenate,
     empirical_gain,
     forward_batch,
     identity_dag,
@@ -802,3 +805,142 @@ def test_rescale_shares_untouched_elements_and_copies_labels():
         assert any(kept) and not all(kept)
         assert [a.elem is s.elem for a, s in zip(dag.arcs, scaled.arcs)] == kept
         assert scaled.labels == dag.labels and scaled.labels is not dag.labels
+
+
+HALF_SLOPE = CpwlSpec(right_pieces=((0.5, 0.0),))  # d = 0.5
+
+
+def _growing_net():
+    """A half-slope arc, then six affine arcs of gain 1.5: level n has gain
+    0.5 * 1.5^(n - 1), so the network is not stable."""
+    net = series(identity_dag(3), ActivationAffine(HALF_SLOPE, np.eye(3)))
+    for _ in range(6):
+        net = series(net, Affine(1.5 * np.eye(3)))
+    return net
+
+
+def test_affine_arcs_count_their_own_gain_when_d_is_below_one():
+    xs = np.random.default_rng(51).uniform(0.1, 2.0, (40, 3))
+    growing = _growing_net()
+    report = certify(growing)
+    assert report.d == 0.5 and not report.certified
+    # spectral norms are upper bounds within a few ulps of 1.5
+    exact = [1.0] + [0.5 * 1.5**k for k in range(7)]
+    assert all(e <= c <= e * (1.0 + 1e-13) for c, e in zip(report.certified_C, exact))
+    sums = [e.sum for e in report.level_sums]
+    assert sums[0] == 0.5 and all(1.5 <= v <= 1.5 * (1.0 + 1e-13) for v in sums[1:])
+    result = soundness_check(growing, xs)
+    assert result.ok, result.violations
+    assert result.gain_curve.gains[-1] > 5.6
+    # an affine arc of gain 3 first: it counts 3, not d * 3
+    first = series(series(identity_dag(3), Affine(3.0 * np.eye(3))), ActivationAffine(HALF_SLOPE, np.eye(3)))
+    report = certify(first)
+    assert report.stable_from == 2
+    assert all(e <= c <= e * (1.0 + 1e-13) for c, e in zip(report.certified_C, (1.0, 3.0, 1.5)))
+    result = soundness_check(first, xs)
+    assert result.ok, result.violations
+
+
+def test_rescale_counts_affine_arcs_at_their_own_gain_when_d_is_below_one():
+    # level 2 is the concat of two half-slope channels: its two identity
+    # arcs count 1 each, not d = 0.5 each, so no weight can bring it to one
+    left = series(identity_dag(2), ActivationAffine(HALF_SLOPE, np.eye(2)))
+    right = series(identity_dag(2), ActivationAffine(HALF_SLOPE, 0.5 * np.eye(2)))
+    net = series(series(concatenate([left, right]), Affine(1.5 * np.eye(4))), ActivationAffine(HALF_SLOPE, np.eye(4)))
+    with pytest.raises(ValueError, match="unit arc contributions"):
+        rescale_to_stability(net)
+    tight = series(series(identity_dag(2), Affine(3.0 * np.eye(2))), ActivationAffine(HALF_SLOPE, np.eye(2)))
+    scaled = rescale_to_stability(tight)
+    # the affine arc is scaled to norm one, not to the 2 that d * 3 <= 1 would allow
+    assert abs(certify(scaled).level_sums[0].sum - 1.0) <= 1e-12
+    assert abs(scaled.arcs[0].elem.weight[0, 0] - 1.0) <= 1e-12
+
+
+def _random_cpwl_net(rng):
+    """Parallel chains of affine, identity and CPWL arcs with one random
+    spec, concatenated and continued; its slopes reach 2, so d may fall
+    below one."""
+    spec = random_cpwl_spec(rng)
+    dim = int(rng.integers(1, 4))
+
+    def grow(net, arcs):
+        for _ in range(arcs):
+            n_in, n_out = net.output_dim, int(rng.integers(1, 4))
+            w = rng.uniform(0.2, 1.5) * rng.standard_normal((n_out, n_in))
+            kind = int(rng.integers(0, 4))
+            if kind == 0:
+                elem = Affine(w, rng.standard_normal(n_out))
+            elif kind == 1:
+                elem = Linear(w)
+            elif kind == 2:
+                elem = Activation(spec, n_in)
+            else:
+                elem = ActivationAffine(spec, w, rng.standard_normal(n_out))
+            net = series(net, elem)
+        return net
+
+    first = series(identity_dag(dim), Activation(spec, dim))  # one nonlinearity at least
+    chains = [first] + [grow(identity_dag(dim), int(rng.integers(1, 4))) for _ in range(int(rng.integers(0, 3)))]
+    chains[0] = grow(chains[0], int(rng.integers(0, 3)))
+    net = concatenate(chains) if len(chains) > 1 else chains[0]
+    return grow(net, int(rng.integers(0, 3)))
+
+
+def test_certified_values_bound_the_pair_gain_at_every_level():
+    rng = np.random.default_rng(52)
+    below_one = 0
+    for _ in range(60):
+        net = _random_cpwl_net(rng)
+        report = certify(net)
+        below_one += report.d < 1.0
+        xs = 3.0 * rng.standard_normal((60, net.input_dim))
+        gains = empirical_gain(net, xs).gains
+        assert len(gains) == len(report.certified_C)
+        for lev, (gain, bound) in enumerate(zip(gains, report.certified_C)):
+            # C(n) is formed in round-to-nearest, so a tight gain may pass it by ulps
+            assert gain <= bound * (1.0 + 1e-12) + 1e-300, (lev, gain, bound, report.d)
+    assert below_one >= 8
+
+
+def test_soundness_check_compares_each_level_with_its_own_bound():
+    net = series(series(identity_dag(2), Affine(3.0 * np.eye(2))), Activation(relu_spec(), 2))
+    xs = np.random.default_rng(53).uniform(0.5, 1.5, (20, 2))
+    report = certify(net)
+    assert soundness_check(net, xs, report=report).ok
+    # C(2) lowered below the level-2 gain of 3; the running maximum, C(1) = 3, would hide it
+    low = replace(report, certified_C=(1.0, report.certified_C[1], 1.0))
+    result = soundness_check(net, xs, report=low)
+    assert [v[0] for v in result.violations] == [2]
+    assert result.violations[0][2] == 1.0
+
+
+def _expected_selection_norm(cols):
+    k = int(np.bincount(cols).max())
+    root = np.sqrt(float(k))
+    return float(root) if int(np.sqrt(k)) ** 2 == k else float(np.nextafter(root, np.inf))
+
+
+def test_selection_norms_are_exact_square_roots_of_column_multiplicity():
+    rng = np.random.default_rng(54)
+    for _ in range(40):
+        rows, cols_n = int(rng.integers(1, 40)), int(rng.integers(1, 12))
+        cols = rng.integers(0, cols_n, rows)
+        w = np.zeros((rows, cols_n))
+        w[np.arange(rows), cols] = 1.0
+        value = spectral_norm(w)
+        assert value >= svd_spectral_norm(w)
+        assert value == _expected_selection_norm(cols)
+        net = series(identity_dag(cols_n), Linear(w))
+        assert stability._arc_norms(net, "spectral")[0] == value
+        # a -0.0 or any other entry makes it a general matrix: the eigensolve bound
+        w[0, (cols[0] + 1) % cols_n] = -0.0 if cols_n > 1 else 0.0
+        if cols_n > 1:
+            assert spectral_norm(w) >= svd_spectral_norm(w)
+
+
+def test_lenet5_selection_norms_are_exactly_one():
+    dag = build_lenet5(seed=0)
+    norms = stability._arc_norms(dag, "spectral")
+    picks = [a.id for a in dag.arcs if a.elem.selection is not None]
+    assert len(picks) == 22
+    assert all(norms[a] == 1.0 for a in picks)
