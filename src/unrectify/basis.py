@@ -232,8 +232,10 @@ def activation_bound(spec: CpwlSpec) -> float:
 def pool_values(spec: PoolSpec, x) -> np.ndarray:
     """Blockwise max along the last axis; rectified pools clamp at zero."""
     arr = np.asarray(x, dtype=float)
-    # the max can drop a non-finite entry; a sum is non-finite if any entry is
-    if not math.isfinite(arr.sum()) and not np.isfinite(arr).all():
+    # the max can drop a non-finite entry; a sum of squares is non-finite if
+    # any entry is.  vdot, unlike dot and sum, raises no overflow warning.
+    flat = arr.ravel(order="K")
+    if not math.isfinite(np.vdot(flat, flat)) and not np.isfinite(arr).all():
         raise ValueError("activation input must be finite")
     if arr.shape[-1] % spec.block:
         raise ValueError(
@@ -254,12 +256,13 @@ def pool_ids(spec: PoolSpec, x) -> np.ndarray:
     """
     arr = np.asarray(x, dtype=float)
     blocks = arr.reshape(*arr.shape[:-1], arr.shape[-1] // spec.block, spec.block)
-    sel = np.argmax(blocks, axis=-1)
+    sel = np.argmax(blocks, axis=-1).ravel()
     ids = sel.astype(np.int64) + 1
     if spec.rectified:
-        top = np.take_along_axis(blocks, sel[..., None], axis=-1)[..., 0]
-        ids = np.where(top > 0.0, ids, 0)
-    return ids
+        # the winner's value (the first NaN, if any) read at its flat index:
+        # cheaper than take_along_axis, and than a max over a short last axis
+        ids[~(blocks.reshape(-1, spec.block)[np.arange(len(sel)), sel] > 0.0)] = 0
+    return ids.reshape(blocks.shape[:-1])
 
 
 MAXLU2_SYMBOLS = {0: "dead", 1: "sel_left", 2: "sel_right"}

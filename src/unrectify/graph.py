@@ -376,9 +376,10 @@ def propagate(dag: Dag, node_id: int, start, through_arc, release: bool = False)
                 value = value + p
         # the node's sum of squares is non-finite whenever one of its entries
         # is (or when it overflows); only then are the arc outputs inspected.
-        # Order "K" reads the entries in memory order, so no layout is copied.
+        # Order "K" reads the entries in memory order, so no layout is copied;
+        # vdot, unlike dot, raises no overflow warning on finite entries.
         flat = value.ravel(order="K")
-        if not math.isfinite(np.dot(flat, flat)):
+        if not math.isfinite(np.vdot(flat, flat)):
             for arc, part in zip(arcs, parts):
                 if not np.isfinite(part).all():
                     raise ValueError(f"arc {arc.id} produced non-finite values")

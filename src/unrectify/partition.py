@@ -6,8 +6,9 @@ affine piece of that node's function is active.  Partitions are represented
 by these sampled region codes rather than explicit polyhedra.  A 2-D lattice
 count covers the small exact cases: without transforms each region is an
 intersection of half-spaces, hence convex, so the count refines only the
-lattice cells whose corners carry different codes, in strips of
-``ROW_BLOCK`` rows; ``partition_stats`` pools regions under ``DIRECT_ENTRIES``.
+lattice cells whose corners carry different codes, over the whole lattice at
+once in batches of ``_CELL_BATCH`` cells; ``partition_stats`` pools regions
+under ``DIRECT_ENTRIES``.
 
 A batch of samples is labelled by one primitive, ``_region_labels``: it folds
 the codes of the node's activation arcs, in code order, into one dense integer
@@ -24,6 +25,7 @@ that ``affine_piece`` carries.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -49,7 +51,8 @@ __all__ = [
 ]
 
 DIRECT_ENTRIES = 1 << 13  # regions this small (pairs x row width) are pooled unscreened
-ROW_BLOCK = 128  # lattice rows per strip of count_regions_2d, and its starting cell side
+ROW_BLOCK = 128  # count_regions_2d's starting cell side, and its rows per call through a transform
+_CELL_BATCH = 2048  # live cells whose corners count_regions_2d labels in one call
 
 
 class NotPiecewiseAffineError(ValueError):
@@ -392,12 +395,6 @@ def fusion_partition_bound(channel_counts: Sequence[int]) -> int:
     return total
 
 
-def _tiles(stop: int, side: int) -> tuple[np.ndarray, np.ndarray]:
-    """First and last index of runs of ``side`` indices covering 0..stop-1."""
-    first = np.arange(0, stop, side)
-    return first, np.minimum(first + side, stop) - 1
-
-
 def _bisect(cells: np.ndarray, axis: int) -> np.ndarray:
     """Halve the cells (first row, last row, first column, last column) longer
     than one step along ``axis``, 0 or 2; the halves share the middle line."""
@@ -405,6 +402,14 @@ def _bisect(cells: np.ndarray, axis: int) -> np.ndarray:
     upper, lower = cells[:, split], cells.copy()
     upper[axis] = lower[axis + 1, split] = (cells[axis, split] + cells[axis + 1, split]) // 2
     return np.hstack([lower, upper])
+
+
+def _representatives(dag: Dag, node: int, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dense region labels of the points and one point per label."""
+    labels, count = _region_labels(dag, node, pts)
+    pick = np.empty(count, dtype=np.intp)
+    pick[labels] = np.arange(len(labels))  # any member represents its label
+    return labels, pts[pick]
 
 
 def count_regions_2d(
@@ -419,48 +424,53 @@ def count_regions_2d(
     refined.  Without a transform arc in the node's sub-graph each code fixes
     one affine map, so its region is an intersection of half-planes, hence
     convex: a rectangle whose four corners share a code holds no other code.
-    The lattice is walked in strips of ``ROW_BLOCK`` rows, which is also the
-    side of the starting cells.  Each round labels the distinct corners of
-    the live cells, keeping one point per label, and bisects the cells whose
-    corners disagree along each side longer than one step.  Transforms
-    (softmax, sigmoid, tanh) break convexity; with one, cells start at 2x2
-    points, so every lattice point is labelled.  Labelling the kept points
-    counts the distinct codes over the whole lattice.
+    The whole lattice is then refined at once, from cells of ``ROW_BLOCK``
+    points a side.  Each round labels the distinct corners of the live cells,
+    ``_CELL_BATCH`` cells per labelling call, keeps one point per label, and
+    bisects the cells whose corners disagree along each side longer than one
+    step.  Transforms (softmax, sigmoid, tanh) break convexity; with one,
+    every lattice point is labelled, ``ROW_BLOCK`` rows per call.  Labelling
+    the kept points counts the distinct codes over the whole lattice.
     """
     if dag.input_dim != 2:
         raise ValueError("the grid oracle needs a 2-D input space")
     if grid_n < 1:
         raise ValueError(f"grid_n must be at least 1, got {grid_n}")
+    try:
+        lo, hi = (float(v) for v in box)
+    except (TypeError, ValueError):
+        raise ValueError(f"box must be two numbers, got {box!r}") from None
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"box bounds must be finite, got {box!r}")
     node = dag.output_node if node_id is None else node_id
-    side = ROW_BLOCK if _first_transform(dag, node) is None else 2
-    axis = np.linspace(float(box[0]), float(box[1]), grid_n)
+    axis = np.linspace(lo, hi, grid_n)
 
-    hit = np.zeros(min(ROW_BLOCK, grid_n) * grid_n, dtype=bool)
-    col_tiles = _tiles(grid_n, side)
-    cols = np.union1d(*col_tiles)
     reps = []
-    for r0 in range(0, grid_n, ROW_BLOCK):
-        first, last = _tiles(min(ROW_BLOCK, grid_n - r0), side)
-        cells = np.stack(np.broadcast_arrays(first[:, None], last[:, None], *col_tiles)).reshape(4, -1)
-        # the starting cells' distinct corners: every edge row with every edge column
-        rows = np.union1d(first, last)
-        idx = (rows[:, None] * grid_n + cols).ravel()
-        pts = np.stack(np.broadcast_arrays(axis[r0 + rows, None], axis[cols]), axis=-1).reshape(-1, 2)
-        while True:
-            labels, count = _region_labels(dag, node, pts)
-            pick = np.empty(count, dtype=np.intp)
-            pick[labels] = np.arange(len(labels))  # any member represents its label
-            reps.append(pts[pick])
-            cells = cells[:, (cells[1] - cells[0] > 1) | (cells[3] - cells[2] > 1)]
-            # row-major index in the strip of each corner, shape (2, 2, cells)
-            flat = (cells[:2] * grid_n)[:, None] + cells[None, 2:]
-            corners = labels[np.searchsorted(idx, flat)]
-            cells = _bisect(_bisect(cells[:, (corners != corners[0, 0]).any(axis=(0, 1))], 0), 2)
-            if not cells.size:
-                break
-            hit[(cells[:2] * grid_n)[:, None] + cells[None, 2:]] = True
-            idx = np.flatnonzero(hit)
-            hit[idx] = False
+    if _first_transform(dag, node) is not None:
+        for r0 in range(0, grid_n, ROW_BLOCK):
+            pts = np.stack(np.broadcast_arrays(axis[r0 : r0 + ROW_BLOCK, None], axis), axis=-1)
+            # labels live to the next strip: freed at once, glibc returned and re-faulted their pages
+            labels, kept = _representatives(dag, node, pts.reshape(-1, 2))
+            reps.append(kept)
+        return _region_labels(dag, node, np.vstack(reps))[1]
+
+    # the starting cells: runs of ROW_BLOCK lattice indices on each axis
+    first = np.arange(0, grid_n, ROW_BLOCK)
+    last = np.minimum(first + ROW_BLOCK, grid_n) - 1
+    cells = np.stack(np.broadcast_arrays(first[:, None], last[:, None], first, last)).reshape(4, -1)
+    while cells.size:
+        halves = []
+        for start in range(0, cells.shape[1], _CELL_BATCH):
+            batch = cells[:, start : start + _CELL_BATCH]
+            # row-major lattice index of each corner, shape (2, 2, cells)
+            flat = (batch[:2] * grid_n)[:, None] + batch[None, 2:]
+            idx, inverse = np.unique(flat, return_inverse=True)
             row = idx // grid_n
-            pts = np.column_stack([axis[r0 + row], axis[idx - row * grid_n]])
+            labels, kept = _representatives(dag, node, np.column_stack([axis[row], axis[idx - row * grid_n]]))
+            reps.append(kept)
+            corners = labels[inverse].reshape(flat.shape)
+            split = (corners != corners[0, 0]).any(axis=(0, 1))
+            split &= (batch[1] - batch[0] > 1) | (batch[3] - batch[2] > 1)
+            halves.append(_bisect(_bisect(batch[:, split], 0), 2))
+        cells = np.hstack(halves)
     return _region_labels(dag, node, np.vstack(reps))[1]

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -169,6 +171,52 @@ def test_pool_values_reject_only_non_finite_entries(rectified):
         for x in (np.array([bad, 0.5]), np.array([[0.5, 1.0], [0.5, bad]])):
             with pytest.raises(ValueError, match="^activation input must be finite$"):
                 pool_values(spec, x)
+
+
+def _pool_ids_loop(spec, x):
+    """Selection codes by a loop over blocks: the first maximum wins (the
+    first NaN, if any); a rectified pool is dead unless it is above zero."""
+    rows = np.asarray(x, dtype=float).reshape(-1, x.shape[-1] // spec.block, spec.block)
+    out = np.zeros(rows.shape[:2], dtype=np.int64)
+    for r, row in enumerate(rows):
+        for b, block in enumerate(row):
+            nan = [i for i, v in enumerate(block) if v != v]
+            win = nan[0] if nan else max(range(spec.block), key=lambda i: (block[i], -i))
+            alive = not spec.rectified or block[win] > 0.0
+            out[r, b] = win + 1 if alive else 0
+    return out.reshape(x.shape[:-1] + (x.shape[-1] // spec.block,))
+
+
+@pytest.mark.parametrize("rectified", [True, False])
+@pytest.mark.parametrize("block", [2, 3, 4])
+def test_pool_ids_match_a_loop_over_blocks(rectified, block):
+    rng = np.random.default_rng(40 + block)
+    spec = PoolSpec(block=block, rectified=rectified)
+    # few distinct values, so ties, signed zeros and dead blocks are common
+    alphabet = np.array([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0, np.nan])
+    for shape in ((block * 5,), (7, block * 6), (2, 3, block * 4)):
+        for p in (None, [0.1, 0.2, 0.2, 0.2, 0.1, 0.1, 0.1], [0.3, 0.3, 0.2, 0.2, 0.0, 0.0, 0.0]):
+            x = rng.choice(alphabet, size=shape, p=p)
+            got = pool_ids(spec, x)
+            assert got.dtype == np.int64 and got.shape == shape[:-1] + (shape[-1] // block,)
+            assert np.array_equal(got, _pool_ids_loop(spec, x))
+    # a non-contiguous view reads the same blocks as its copy
+    x = rng.standard_normal((6, 4 * block))[:, ::2]
+    assert np.array_equal(pool_ids(spec, x), _pool_ids_loop(spec, x.copy()))
+
+
+def test_pool_values_take_finite_overflowing_input_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for rectified in (True, False):
+            spec = PoolSpec(block=2, rectified=rectified)
+            assert pool_values(spec, np.array([1e308, 1e308, 1.0, 2.0])).tolist() == [1e308, 2.0]
+            big = np.array([[-1e308, -1e308, 1e200, -1e300]])
+            want = [[0.0 if rectified else -1e308, 1e200]]
+            assert pool_values(spec, big).tolist() == want
+            for bad in (-np.inf, np.inf, np.nan):
+                with pytest.raises(ValueError, match="^activation input must be finite$"):
+                    pool_values(spec, np.array([1e308, 1e308, bad, 2.0]))
 
 
 def test_pool_block_validation():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -114,6 +116,29 @@ def test_forward_rejects_bad_inputs():
         forward(g, np.ones(2))
     with pytest.raises(ValueError):
         forward(g, np.array([1.0, np.nan, 0.0]))
+
+
+def test_finite_overflowing_node_values_pass_without_warning():
+    # the node check's sum of squares overflows on entries near 1e160, but
+    # every entry is finite: no warning, no error
+    g = series(identity_dag(2), Affine(1e160 * np.eye(2)))
+    x = np.array([1.0, -2.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out, _ = forward(g, x)
+        assert out.tolist() == [1e160, -2e160]
+        batch, _ = forward_batch(g, np.array([x, 2 * x]))
+        assert batch.tolist() == [[1e160, -2e160], [2e160, -4e160]]
+    # a non-finite node value is still refused, naming its arc: +inf, then
+    # -inf; the products themselves warn, as numpy does on overflow
+    for sign in (1.0, -1.0):
+        net = series(g, Affine(sign * 1e160 * np.eye(2)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(ValueError, match="^arc 1 produced non-finite values$"):
+                forward(net, x)
+            with pytest.raises(ValueError, match="^arc 1 produced non-finite values$"):
+                forward_batch(net, np.array([x, 2 * x]))
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")

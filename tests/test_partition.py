@@ -1,6 +1,7 @@
 import itertools
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -482,6 +483,77 @@ def test_count_regions_2d_smallest_grids(monkeypatch):
     assert count_regions_2d(relu_layer(2), grid_n=2) == 4
     monkeypatch.setattr(partition, "ROW_BLOCK", 1)
     assert count_regions_2d(relu_layer(2), grid_n=2) == 4
+
+
+def _seeded_layer(seed=1, units=8):
+    rng = np.random.default_rng(seed)
+    w, b = rng.standard_normal((units, 2)), rng.standard_normal(units)
+    return series(identity_dag(2), ActivationAffine(relu_spec(), w, b))
+
+
+def test_count_regions_2d_refines_the_whole_lattice_in_few_calls(monkeypatch):
+    # one bisection over the whole lattice, not one per strip of ROW_BLOCK
+    # rows: the strip walk made 129 labelling calls on this layer
+    net = _seeded_layer()
+    calls = []
+
+    def counted(dag, node, xs, trace=None):
+        calls.append(len(xs))
+        return _region_labels(dag, node, xs, trace=trace)
+
+    monkeypatch.setattr(partition, "_region_labels", counted)
+    assert count_regions_2d(net, grid_n=2001) == 36  # as the strip walk counted
+    assert len(calls) <= 64
+    # each call but the last labels the distinct corners of one cell batch
+    assert max(calls[:-1]) <= 4 * partition._CELL_BATCH
+
+
+def test_count_regions_2d_memory_stays_bounded_by_the_cell_batch():
+    net = _seeded_layer()
+    count_regions_2d(net, grid_n=101)  # warm the code paths outside the measure
+    tracemalloc.start()
+    try:
+        count_regions_2d(net, grid_n=2001)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8e6
+
+
+@pytest.mark.parametrize("cell_batch", [1, 5])
+def test_count_regions_2d_small_cell_batches_count_the_full_lattice(monkeypatch, cell_batch):
+    monkeypatch.setattr(partition, "_CELL_BATCH", cell_batch)
+    box, grid_n = (-5.0, 5.0), 101
+    for net in _refinement_cases():
+        expected = _region_labels(net, net.output_node, _lattice(box, grid_n))[1]
+        assert count_regions_2d(net, box=box, grid_n=grid_n) == expected
+
+
+@pytest.mark.parametrize(
+    "box, message",
+    [
+        ((0.0, np.inf), "box bounds must be finite"),
+        ((-np.inf, 1.0), "box bounds must be finite"),
+        ((np.nan, 1.0), "box bounds must be finite"),
+        ((1.0,), "box must be two numbers"),
+        ((0.0, 1.0, 2.0), "box must be two numbers"),
+        (5.0, "box must be two numbers"),
+        (("a", 1.0), "box must be two numbers"),
+        (None, "box must be two numbers"),
+    ],
+)
+def test_count_regions_2d_rejects_a_bad_box(box, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            count_regions_2d(relu_layer(2), box=box, grid_n=11)
+
+
+def test_count_regions_2d_takes_any_two_finite_numbers_as_box():
+    net = relu_layer(2)
+    assert count_regions_2d(net, box=np.array([-1.0, 2.0]), grid_n=11) == 4
+    assert count_regions_2d(net, box=[3, -2], grid_n=11) == 4
+    assert count_regions_2d(net, box=(1.0, 2.0), grid_n=11) == 1
 
 
 def test_count_regions_2d_requires_2d():
