@@ -315,41 +315,34 @@ def conv2d_affine(
     return weight, np.full(out_h * out_w, float(bias))
 
 
-def _vertical_pairing(height: int, width: int) -> np.ndarray:
-    """Permutation making vertically adjacent pixels consecutive.
-
-    Input is row-major height x width with even height; output row
-    2*(k*width + c) holds pixel (2k, c) and the next row pixel (2k+1, c),
-    so a block-2 pool afterwards yields a row-major (height/2) x width plane.
-    """
-    if height % 2:
-        raise ValueError("vertical pairing needs an even height")
-    order = np.arange(height * width).reshape(height // 2, 2, width).transpose(0, 2, 1)
-    p = np.zeros((height * width, height * width))  # np.eye(n)[order] writes n^2 entries twice
-    p[np.arange(height * width), order.ravel()] = 1.0
-    return p
-
-
 def _conv_stage(b: GraphBuilder, rng, src: int, in_shape, n_out: int, pad: int, name: str, labels: dict) -> int:
     """``n_out`` seeded 5x5 stride-1 convolution channels of the ``in_shape``
-    planes at ``src``, each pooled by two rectified block-2 pools (width,
-    then height), concatenated; returns the concatenation node."""
+    planes at ``src``, each max-pooled 2x2 by two rectified block-2 pools,
+    concatenated; returns the concatenation node.
+
+    A ``{name}.conv.{c}`` node holds its side x side plane in 2x2-window
+    order: window (i, j) of the row-major (side/2) x (side/2) grid of windows
+    takes the four entries from 4*(i*side/2 + j), pixels (2i, 2j), (2i, 2j+1),
+    (2i+1, 2j), (2i+1, 2j+1).  So ``{name}.pool.{c}.h`` holds each window's
+    top-row then bottom-row maximum, and ``{name}.pool.{c}.v`` the pooled
+    plane, row-major."""
     n_in, height, _ = in_shape
     kernels = rng.standard_normal((n_out, n_in, 5, 5)) / np.sqrt(n_in * 25)
     biases = 0.1 * rng.standard_normal(n_out)
     side = height + 2 * pad - 4  # output planes are side x side
+    half = side // 2
+    window_order = np.arange(side * side).reshape(half, 2, half, 2).transpose(0, 2, 1, 3).ravel()
     pool = PoolSpec(block=2, rectified=True)
     pooled = []
     for c in range(n_out):
         w, bias = conv2d_affine(kernels[c], biases[c], in_shape, pad=pad)
-        conv = labels[f"{name}.conv.{c}"] = b.add_relay(src, Affine(w, bias))
+        conv = labels[f"{name}.conv.{c}"] = b.add_relay(src, Affine(w[window_order], bias[window_order]))
         horiz = labels[f"{name}.pool.{c}.h"] = b.add_relay(conv, Activation(pool, side * side))
-        pairing = _vertical_pairing(side, side // 2)
-        vert = labels[f"{name}.pool.{c}.v"] = b.add_relay(horiz, ActivationAffine(pool, pairing))
+        vert = labels[f"{name}.pool.{c}.v"] = b.add_relay(horiz, Activation(pool, side * half))
         pooled.append(vert)
     cat = b.add_node(ROLE_CONCAT)
     for nid in pooled:
-        b.connect(nid, cat, Identity(side * side // 4))
+        b.connect(nid, cat, Identity(half * half))
     labels[f"{name}.concat"] = cat
     return cat
 

@@ -7,20 +7,14 @@ transform (``spec``).  A weightless element states its dimension in
 activation, activation_affine, transform, transform_affine) are derived
 from which parts are present, and the functions named after them build
 elements.  Elements are immutable and apply to batches (leading axes are
-preserved, the last axis is the vector dimension).
-
-A weight whose every row holds a single entry 1.0 is a selection: it picks
-one input coordinate per output, as LeNet-5's pairing permutations do.  Its
-product is applied by indexing, which gives the bits of the dense product.
-An element works this out on its first product and keeps the answer.
-``apply`` is ``pre_activation`` followed by ``activate``, so a walk that
-needs the pre-activation as well computes it once.
+preserved, the last axis is the vector dimension).  ``apply`` is
+``pre_activation`` followed by ``activate``, so a walk that needs the
+pre-activation as well computes it once.
 """
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Optional
 
 import numpy as np
@@ -69,19 +63,6 @@ def _vector(value, rows: int) -> np.ndarray:
         raise ValueError("bias entries must be finite")
     arr.setflags(write=False)
     return arr
-
-
-def selection_columns(weight: np.ndarray) -> Optional[np.ndarray]:
-    """Column each row of a float matrix picks, when every row holds a
-    single entry 1.0 and all other entries are +0.0; None otherwise.  The
-    whole matrix is scanned only when its first row passes."""
-    bits = weight.view(np.int64)
-    if np.count_nonzero(bits[0]) != 1:
-        return None
-    rows, cols = np.nonzero(bits)
-    if len(rows) != len(bits) or (rows != np.arange(len(bits))).any():
-        return None
-    return cols if (weight[rows, cols] == 1.0).all() else None
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,27 +121,11 @@ class ArcElement:
             return self._rows // self.act.block
         return self._rows
 
-    @cached_property
-    def selection(self) -> Optional[np.ndarray]:
-        """Column each row of the weight picks (``selection_columns``), or None."""
-        return None if self.weight is None else selection_columns(self.weight)
-
-    def weight_product(self, values: np.ndarray) -> np.ndarray:
-        """``values @ W.T``.  A selection gathers its columns instead, into a
-        C-ordered array as the product is (a later product's rounding depends
-        on the layout); adding 0.0 turns a -0.0 into the product's +0.0."""
-        cols = self.selection
-        if cols is None:
-            return values @ self.weight.T
-        out = np.take(np.asarray(values, dtype=float), cols, axis=-1)
-        out += 0.0
-        return out
-
     def pre_activation(self, values: np.ndarray) -> np.ndarray:
         """Input seen by the element's nonlinearity (affine part applied)."""
         if self.weight is None:
             return values
-        out = self.weight_product(values)
+        out = values @ self.weight.T
         return out if self.bias is None else out + self.bias
 
     def apply(self, values: np.ndarray) -> np.ndarray:

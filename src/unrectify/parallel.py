@@ -2,7 +2,7 @@
 
 No library code calls them.  They remain only because ``bench/run.py``
 prints ``worker_count()`` and ``bench/tracing.py`` wraps ``parallel_map``;
-the benchmark change in ROADMAP item 2 deletes both names."""
+the observability change in ROADMAP item 3 deletes both names."""
 import os
 
 __all__ = ["worker_count", "parallel_map"]

@@ -19,9 +19,7 @@ queries on one ``forward_batch`` trace derive each arc's patterns once.
 
 The single-input queries, ``region_code`` and ``affine_piece``, compute one
 pre-activation per arc: the evaluation walk hands each activation arc's
-pre-activation over, and the pattern is read from it.  A selection weight
-(every row a single 1.0) is applied by indexing, on values as on the maps
-that ``affine_piece`` carries.
+pre-activation over, and the pattern is read from it.
 """
 from __future__ import annotations
 
@@ -233,31 +231,18 @@ def affine_piece(dag: Dag, node_id: int, x) -> AffinePiece:
     pres: dict = {}
     _evaluate(dag, x, node_id, batch=False, pres=pres)
 
-    def weighted(arc: Arc, m: np.ndarray) -> np.ndarray:
+    def through_arc(arc: Arc, m: np.ndarray) -> np.ndarray:
         elem = arc.elem
         if elem.weight is not None:
             # at the input m is the identity start: take [W^T; 0] without the product
-            m = np.vstack([elem.weight.T, np.zeros(len(elem.weight))]) if arc.src == 0 else elem.weight_product(m)
+            m = np.vstack([elem.weight.T, np.zeros(len(elem.weight))]) if arc.src == 0 else m @ elem.weight.T
             if elem.bias is not None:
                 m[-1] += elem.bias
-        return m
-
-    def through_arc(arc: Arc, m: np.ndarray) -> np.ndarray:
-        elem = arc.elem
         if isinstance(elem.act, PoolSpec):
             ids = pool_ids(elem.act, pres[arc.id])
-            pick = np.arange(len(ids)) * elem.act.block + ids - 1
-            if elem.selection is not None and arc.src != 0:
-                # the pool keeps one column a block: gather only those of the selection
-                picked = m[:, elem.selection[pick]]
-                picked += 0.0
-                if elem.bias is not None:
-                    picked[-1] += elem.bias[pick]
-            else:
-                picked = weighted(arc, m)[:, pick]
+            picked = m[:, np.arange(len(ids)) * elem.act.block + ids - 1]
             picked[:, ids == 0] = 0.0  # the gather is a fresh array
             return picked
-        m = weighted(arc, m)
         if elem.act is None:
             return m
         slope, offset = cpwl_slope_offset(elem.act, pres[arc.id])

@@ -32,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from .elements import element_bound, selection_columns, uniform_bound
+from .elements import element_bound, uniform_bound
 from .graph import Arc, Dag, forward_batch, levels
 
 __all__ = [
@@ -64,6 +64,19 @@ def svd_spectral_norm(w) -> float:
     return float(np.linalg.svd(arr, compute_uv=False)[0])
 
 
+def _selection_columns(weight: np.ndarray) -> Optional[np.ndarray]:
+    """Column each row of a float matrix picks, when every row holds a
+    single entry 1.0 and all other entries are +0.0; None otherwise.  The
+    whole matrix is scanned only when its first row passes."""
+    bits = weight.view(np.int64)
+    if np.count_nonzero(bits[0]) != 1:
+        return None
+    rows, cols = np.nonzero(bits)
+    if len(rows) != len(bits) or (rows != np.arange(len(bits))).any():
+        return None
+    return cols if (weight[rows, cols] == 1.0).all() else None
+
+
 def _selection_norm(cols: np.ndarray) -> float:
     """Spectral norm of a selection picking columns ``cols``: S^T S is
     diagonal with the column multiplicities, so the norm is the square root
@@ -87,9 +100,8 @@ def spectral_norm(w) -> float:
     exceeds their sum, so the value is never below the true norm; it sits
     at most about 2(m+n)·eps·trace(G)/||A||_2^2 relative above it.
 
-    A selection (every row a single entry 1.0, as LeNet-5's pairing
-    permutations are) skips the eigensolve: its norm is known exactly
-    (``_selection_norm``).
+    A selection (every row a single entry 1.0, such as an identity) skips
+    the eigensolve: its norm is known exactly (``_selection_norm``).
     """
     arr = np.asarray(w, dtype=float)
     if arr.ndim != 2:
@@ -98,7 +110,7 @@ def spectral_norm(w) -> float:
         raise ValueError("matrix entries must be finite")
     if arr.size == 0:
         return 0.0
-    cols = selection_columns(arr)
+    cols = _selection_columns(arr)
     if cols is not None:
         return _selection_norm(cols)
     gram = arr @ arr.T if arr.shape[0] <= arr.shape[1] else arr.T @ arr

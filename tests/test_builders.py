@@ -24,7 +24,6 @@ from unrectify import (
     relu_spec,
     validate,
 )
-from unrectify.builders import _vertical_pairing
 from unrectify.graph import ROLE_CONCAT
 
 
@@ -260,26 +259,24 @@ def test_lenet5_dimensions_and_levels():
     assert y.shape == (10,)
 
 
-def test_lenet5_has_22_selection_weights_found_on_first_use():
+def test_lenet5_pools_through_weightless_arcs():
     dag = build_lenet5(seed=0)
-    # building scans no weight: setup costs nothing for the selection path
-    assert not any("selection" in vars(arc.elem) for arc in dag.arcs)
-    picked = [arc for arc in dag.arcs if arc.elem.selection is not None]
-    assert len(picked) == 22
-    assert {arc.dst for arc in picked} == {
-        dag.labels[f"stage{s}.pool.{c}.v"] for s, n in ((1, 6), (2, 16)) for c in range(n)
-    }
-    assert sum(arc.elem.weight is not None for arc in dag.arcs) == 47
+    weighted = [arc for arc in dag.arcs if arc.elem.weight is not None]
+    assert len(weighted) == 25  # 6 + 16 convolution maps, 3 dense layers
+    pooled = {dag.labels[f"stage{s}.pool.{c}.v"] for s, n in ((1, 6), (2, 16)) for c in range(n)}
+    assert not {arc.dst for arc in weighted} & pooled
 
 
-def _loop_vertical_pairing(height, width):
-    """The pairing permutation written out entry by entry."""
-    p = np.zeros((height * width, height * width))
-    for k in range(height // 2):
-        for c in range(width):
-            p[2 * (k * width + c), (2 * k) * width + c] = 1.0
-            p[2 * (k * width + c) + 1, (2 * k + 1) * width + c] = 1.0
-    return p
+def _loop_window_order(w, bias, side):
+    """Rows of a row-major side x side plane put in 2x2-window order,
+    written out window by window."""
+    rows = []
+    for i in range(side // 2):
+        for j in range(side // 2):
+            for di in (0, 1):
+                for dj in (0, 1):
+                    rows.append((2 * i + di) * side + 2 * j + dj)
+    return w[rows], bias[rows]
 
 
 def _written_out_lenet5(seed):
@@ -294,11 +291,11 @@ def _written_out_lenet5(seed):
         w = rng.standard_normal((rows, cols)) / np.sqrt(cols)
         return w, 0.1 * rng.standard_normal(rows)
 
-    def pool_stage(b, src, height, width, label, labels):
+    def pool_stage(b, src, side, label, labels):
         pool = PoolSpec(block=2, rectified=True)
-        horiz = b.add_relay(src, Activation(pool, height * width))
+        horiz = b.add_relay(src, Activation(pool, side * side))
         labels[label + ".h"] = horiz
-        vert = b.add_relay(horiz, ActivationAffine(pool, _loop_vertical_pairing(height, width // 2)))
+        vert = b.add_relay(horiz, Activation(pool, side * side // 2))
         labels[label + ".v"] = vert
         return vert
 
@@ -310,9 +307,9 @@ def _written_out_lenet5(seed):
     stage1_out = []
     for c in range(6):
         w, bias = conv2d_affine(k1[c], bias1[c], (1, 28, 28), stride=1, pad=2)
-        conv = b.add_relay(0, Affine(w, bias))
+        conv = b.add_relay(0, Affine(*_loop_window_order(w, bias, 28)))
         labels[f"stage1.conv.{c}"] = conv
-        stage1_out.append(pool_stage(b, conv, 28, 28, f"stage1.pool.{c}", labels))
+        stage1_out.append(pool_stage(b, conv, 28, f"stage1.pool.{c}", labels))
     cat1 = b.add_node(ROLE_CONCAT)
     for nid in stage1_out:
         b.connect(nid, cat1, Identity(14 * 14))
@@ -322,9 +319,9 @@ def _written_out_lenet5(seed):
     stage2_out = []
     for c in range(16):
         w, bias = conv2d_affine(k2[c], bias2[c], (6, 14, 14), stride=1, pad=0)
-        conv = b.add_relay(cat1, Affine(w, bias))
+        conv = b.add_relay(cat1, Affine(*_loop_window_order(w, bias, 10)))
         labels[f"stage2.conv.{c}"] = conv
-        stage2_out.append(pool_stage(b, conv, 10, 10, f"stage2.pool.{c}", labels))
+        stage2_out.append(pool_stage(b, conv, 10, f"stage2.pool.{c}", labels))
     cat2 = b.add_node(ROLE_CONCAT)
     for nid in stage2_out:
         b.connect(nid, cat2, Identity(5 * 5))
@@ -359,26 +356,38 @@ def test_lenet5_equals_the_written_out_stages(seed):
         assert _same_array(a.elem.bias, b.elem.bias), a.id
 
 
-@pytest.mark.parametrize("height, width", [(2, 1), (2, 3), (4, 5), (6, 7), (10, 5), (28, 14), (8, 8)])
-def test_vertical_pairing_equals_the_entrywise_permutation(height, width):
-    got = _vertical_pairing(height, width)
-    assert _same_array(got, _loop_vertical_pairing(height, width))
-    assert got.flags.c_contiguous
-
-
-def test_vertical_pairing_rejects_an_odd_height():
-    with pytest.raises(ValueError, match="even height"):
-        _vertical_pairing(3, 4)
+def _row_major(window_ordered, side):
+    """The side x side plane of a node held in 2x2-window order."""
+    half = side // 2
+    plane = np.empty((side, side))
+    for i in range(half):
+        for j in range(half):
+            for k, (di, dj) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
+                plane[2 * i + di, 2 * j + dj] = window_ordered[4 * (i * half + j) + k]
+    return plane
 
 
 def test_lenet5_pooling_matches_direct_2x2_maxlu():
     dag = build_lenet5(seed=1)
-    rng = np.random.default_rng(2)
-    x = rng.standard_normal(784)
+    draws = np.random.default_rng(1)  # build_lenet5(seed=1)'s kernels then biases, stage by stage
+    x = np.random.default_rng(2).standard_normal(784)
     _, trace = forward(dag, x)
-    conv = trace[dag.labels["stage1.conv.0"]].reshape(28, 28)
-    pooled = trace[dag.labels["stage1.pool.0.v"]].reshape(14, 14)
-    for r in range(14):
-        for c in range(14):
-            block = conv[2 * r : 2 * r + 2, 2 * c : 2 * c + 2]
-            assert abs(pooled[r, c] - max(block.max(), 0.0)) <= 1e-12
+    planes = x.reshape(1, 28, 28)
+    for stage, n_out, pad in ((1, 6, 2), (2, 16, 0)):
+        n_in = len(planes)
+        kernels = draws.standard_normal((n_out, n_in, 5, 5)) / np.sqrt(n_in * 25)
+        biases = 0.1 * draws.standard_normal(n_out)
+        padded = np.pad(planes, ((0, 0), (pad, pad), (pad, pad)))
+        side, half = padded.shape[1] - 4, (padded.shape[1] - 4) // 2
+        for c in range(n_out):
+            conv = _row_major(trace[dag.labels[f"stage{stage}.conv.{c}"]], side)
+            for r, s in np.ndindex(side, side):
+                direct = np.sum(kernels[c] * padded[:, r : r + 5, s : s + 5]) + biases[c]
+                assert abs(conv[r, s] - direct) <= 1e-12
+            horiz = trace[dag.labels[f"stage{stage}.pool.{c}.h"]].reshape(half, half, 2)
+            pooled = trace[dag.labels[f"stage{stage}.pool.{c}.v"]].reshape(half, half)
+            for r, s in np.ndindex(half, half):
+                block = conv[2 * r : 2 * r + 2, 2 * s : 2 * s + 2]
+                assert list(horiz[r, s]) == [max(block[0].max(), 0.0), max(block[1].max(), 0.0)]
+                assert pooled[r, s] == max(block.max(), 0.0)
+        planes = trace[dag.labels[f"stage{stage}.concat"]].reshape(n_out, half, half)

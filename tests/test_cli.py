@@ -9,6 +9,7 @@ from unrectify import (
     build_series_stack,
     certify,
     conv2d_affine,
+    forward,
     rescale_to_stability,
     save_network,
     svd_spectral_norm,
@@ -54,6 +55,17 @@ def test_eval_identity_echoes_input(tmp_path, capsys):
     save_network(series(identity_dag(3), Identity(3)), path)
     assert main(["eval", str(path), "--input", "1,2.5,-3"]) == 0
     assert capsys.readouterr().out.strip() == "1,2.5,-3"
+
+
+def test_eval_prints_the_bits_of_the_in_memory_lenet5(lenet5_file, capsys):
+    dag, path = lenet5_file
+    rng = np.random.default_rng(7)
+    for x in (rng.standard_normal(784), rng.uniform(0.0, 1.0, 784), -rng.uniform(0.0, 1.0, 784)):
+        x[:50] = -0.0
+        y, _ = forward(dag, x)
+        # the value starts with a minus sign, so it is joined to its option
+        assert main(["eval", str(path), "--input=" + ",".join(repr(float(v)) for v in x)]) == 0
+        assert capsys.readouterr().out.strip() == ",".join("%.17g" % v for v in y)
 
 
 def test_eval_bad_input_vector(demo_file, capsys):

@@ -816,53 +816,6 @@ def test_affine_piece_equals_composition_on_lenet5():
     _assert_piece_equals_composition(dag, np.random.default_rng(36).uniform(0.0, 1.0, 784))
 
 
-def _assert_selections_keep_every_bit(monkeypatch, dag, xs, node):
-    from unrectify import ArcElement
-
-    def run():
-        _, batch = forward_batch(dag, xs)
-        _, single = forward(dag, xs[0])
-        pieces = [affine_piece(dag, n, x) for n in (node, dag.output_node) for x in xs[:2]]
-        codes = [region_code(dag, node, x) for x in xs]
-        values = [batch[n] for n in sorted(batch)] + [single[n] for n in sorted(single)]
-        values += [a for p in pieces for a in (p.weight, p.bias)]
-        return [(v.tobytes(), v.strides) for v in values], codes
-
-    # every weight on the dense product, as before selections were found; kept as an oracle
-    with monkeypatch.context() as patch:
-        patch.setattr(ArcElement, "selection", None)
-        dense = run()
-    assert not any("selection" in vars(arc.elem) for arc in dag.arcs)
-    assert run() == dense
-
-
-def test_lenet5_selection_path_keeps_every_bit(monkeypatch):
-    dag = build_lenet5(seed=0)
-    xs = np.random.default_rng(40).uniform(0.0, 1.0, (3, 784))
-    xs[:, :50] = -0.0
-    _assert_selections_keep_every_bit(monkeypatch, dag, xs, dag.labels["stage2.concat"])
-    assert sum(arc.elem.selection is not None for arc in dag.arcs) == 22
-
-
-def test_selection_path_keeps_every_bit_after_rectifiers(monkeypatch):
-    rng = np.random.default_rng(41)
-    for _ in range(5):
-        d = int(rng.integers(2, 6))
-        select = np.zeros((2 * d, d))
-        select[np.arange(2 * d), rng.integers(0, d, 2 * d)] = 1.0
-        bias = rng.standard_normal(2 * d)
-        bias[::3] = -0.0
-        dag = series(identity_dag(d), ActivationAffine(relu_spec(), rng.standard_normal((d, d))))
-        # rectified rows of the map hold -0.0, which the gathers must turn into the product's +0.0
-        dag = series(dag, ActivationAffine(PoolSpec(2, rectified=False), select, bias))
-        dag = series(dag, ActivationAffine(relu_spec(), select[rng.permutation(2 * d)[:d], :d]))
-        dag = series(dag, ActivationAffine(relu_spec(), rng.standard_normal((3, d))))
-        xs = rng.standard_normal((6, d))
-        xs[:, 0] = -0.0
-        _assert_selections_keep_every_bit(monkeypatch, dag, xs, 2)  # the pooled node
-        assert sum(arc.elem.selection is not None for arc in dag.arcs) >= 1
-
-
 def _count_pre_activations(monkeypatch):
     from unrectify import ArcElement
 
