@@ -182,10 +182,7 @@ def _cmd_lenet_partition(args) -> int:
 
 def _cmd_regions_2d(args) -> int:
     result = run_regions_2d(_config(args))
-    print("network,region_count,product_bound")
-    for name in ("relu", "max2", "maxlu2"):
-        print(f"{name},{result.counts[name]},")
-    print(f"fusion,{result.counts['fusion']},{result.bound}")
+    print(result.csv_path.read_text(), end="")
     print(f"wrote {result.csv_path}")
     return 0
 
@@ -204,8 +201,11 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = list(sys.argv[1:] if argv is None else argv)
+    if "--input" in argv[:-1]:  # argparse would take a value such as -0.5,1 for an option
+        i = argv.index("--input")
+        argv[i : i + 2] = ["--input=" + argv[i + 1]]
+    args = _build_parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
     except (NetworkFormatError, InvalidGraphError, IdxFormatError, ValueError, OSError) as exc:

@@ -13,7 +13,6 @@ pre-activation as well computes it once.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -204,14 +203,7 @@ def element_bound(elem: ArcElement) -> Optional[float]:
 def uniform_bound(elems: Iterable[ArcElement]) -> float:
     """Max nonlinearity gain bound over a collection of elements.
 
-    With no nonlinear element present the bound defaults to 1 (with a
-    warning), which is exact for identity/affine-only networks.
+    With no nonlinear element present the bound is 1, which is exact: the
+    certificate counts an arc with no nonlinearity at max(d, 1).
     """
-    bounds = [b for b in (element_bound(e) for e in elems) if b is not None]
-    if not bounds:
-        warnings.warn(
-            "no activation or transform present; uniform bound defaults to 1",
-            stacklevel=2,
-        )
-        return 1.0
-    return float(max(bounds))
+    return float(max((b for b in map(element_bound, elems) if b is not None), default=1.0))

@@ -314,7 +314,7 @@ class Regions2dResult:
     counts: dict[str, int]
     bound: int
     channel_counts: tuple[int, int]
-    csv_path: Optional[Path]
+    csv_path: Path
 
 
 def fusion_example_2d() -> Dag:

@@ -1,7 +1,8 @@
 """Stability certification from per-level weight-norm sums.
 
-For a valid graph with uniform nonlinearity gain bound d, the certified
-Lipschitz value of the level-n stacked function follows the recursion
+For a valid graph whose nonlinearities have uniform gain bound d (read from
+the elements; 1 when it has none), the certified Lipschitz value of the
+level-n stacked function follows the recursion
 
     C(0) = 1,   C(n) = sum over level-n nodes a, incoming arcs b->a of
                        g_ab * ||W_ab||_2 * C(level(b)),
@@ -188,44 +189,39 @@ def _arcs_by_level(dag: Dag) -> tuple[dict[int, int], list[list[Arc]]]:
     return lvl, per_level
 
 
-def level_sums(dag: Dag, d: Optional[float] = None) -> list[LevelSum]:
+def level_sums(dag: Dag) -> list[LevelSum]:
     """Gain-scaled sums of arc weight norms per destination level, 1..L.
 
     Only the linear part of each arc enters; biases cancel in differences.
     Identity, duplication, and bare activation or transform arcs have norm
-    1; each arc's norm is scaled by its gain bound as in ``certify``.
+    1; each arc's norm is scaled by its gain bound, d read from the elements
+    or max(d, 1), as in ``certify``.
     """
-    return list(certify(dag, d).level_sums)
+    return list(certify(dag).level_sums)
 
 
-def _arc_gains(dag: Dag, d: Optional[float]) -> tuple[float, float, dict[int, float]]:
+def _arc_gains(dag: Dag) -> tuple[float, float, dict[int, float]]:
     """The uniform bound d, a common factor, and each arc's gain over it.
 
-    ``d`` read from the elements bounds only the nonlinearities; an arc with
+    d, read from the elements, bounds only the nonlinearities; an arc with
     no activation or transform has gain one, so it counts max(d, 1), and an
     arc with a nonlinearity counts d.  The common factor is max(d, 1) and an
     arc's share is its gain divided by it, d / d = 1 when d >= 1, so a sum
-    formed as factor * sum(share * term) has the bits of d * sum(term).  A
-    given ``d`` is taken as the paper's uniform bound of every arc, linear
-    ones included: every share is one and the factor is d.
+    formed as factor * sum(share * term) has the bits of d * sum(term).
     """
-    if d is None:
-        d = uniform_bound(arc.elem for arc in dag.arcs)
-        scale = max(d, 1.0)
-        return d, scale, {a.id: 1.0 if element_bound(a.elem) is None else d / scale for a in dag.arcs}
-    if not 0.0 <= d < np.inf:
-        raise ValueError(f"d must be finite and nonnegative, got {d}")
-    return d, d, {arc.id: 1.0 for arc in dag.arcs}
+    d = uniform_bound(arc.elem for arc in dag.arcs)
+    scale = max(d, 1.0)
+    return d, scale, {a.id: 1.0 if element_bound(a.elem) is None else d / scale for a in dag.arcs}
 
 
-def certify(dag: Dag, d: Optional[float] = None) -> StabilityReport:
+def certify(dag: Dag) -> StabilityReport:
     """Certify stability: level sums, the first all-suffix-stable level, and
     the certified Lipschitz recursion values, in one pass over the levels;
     each arc's spectral norm is computed once and serves both.  Each arc
-    counts its gain bound (``_arc_gains``): d, or max(d, 1) for an arc with
-    no nonlinearity when d is read from the elements."""
+    counts its gain bound (``_arc_gains``): d, read from the elements, or
+    max(d, 1) for an arc with no nonlinearity."""
     dag.require_valid()
-    d, scale, share = _arc_gains(dag, d)
+    d, scale, share = _arc_gains(dag)
     spectral = _arc_norms(dag, "spectral")
     frob = _arc_norms(dag, "frobenius")
     lvl, per_level = _arcs_by_level(dag)
@@ -244,7 +240,7 @@ def certify(dag: Dag, d: Optional[float] = None) -> StabilityReport:
         elif stable_from is None:
             stable_from = n
     return StabilityReport(
-        d=float(d),
+        d=d,
         level_sums=tuple(sums),
         stable_from=stable_from,
         certified_C=tuple(c),
@@ -262,7 +258,7 @@ def rescale_to_stability(dag: Dag, use_frobenius: bool = False) -> Dag:
     Only linear parts change; biases are preserved.
     """
     dag.require_valid()
-    _, scale, share = _arc_gains(dag, None)
+    _, scale, share = _arc_gains(dag)
     norms = _arc_norms(dag, "frobenius" if use_frobenius else "spectral")
     _, per_level = _arcs_by_level(dag)
 

@@ -274,9 +274,11 @@ def test_uniform_bound_rules():
     assert uniform_bound([relu_elem, maxlu_elem]) == 1.0
 
 
-def test_uniform_bound_warns_without_nonlinearity():
-    with pytest.warns(UserWarning):
+def test_uniform_bound_is_one_without_nonlinearity():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         assert uniform_bound([Affine(np.eye(2))]) == 1.0
+        assert uniform_bound([]) == 1.0
 
 
 def _selection_inputs(rng, n):

@@ -57,13 +57,28 @@ def test_eval_identity_echoes_input(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "1,2.5,-3"
 
 
+def test_eval_takes_an_input_that_starts_with_a_minus_sign(tmp_path, capsys):
+    from unrectify import identity_dag, series, Identity
+
+    path = str(tmp_path / "id.json")
+    save_network(series(identity_dag(2), Identity(2)), path)
+    for argv in (
+        ["eval", path, "--input", "-0.5,1"],
+        ["eval", "--input", "-0.5,1", path],
+        ["eval", path, "--input=-0.5,1"],
+        ["eval", "--input=-0.5,1", path],
+    ):
+        assert main(argv) == 0, argv
+        assert capsys.readouterr().out.strip() == "-0.5,1"
+
+
 def test_eval_prints_the_bits_of_the_in_memory_lenet5(lenet5_file, capsys):
     dag, path = lenet5_file
     rng = np.random.default_rng(7)
     for x in (rng.standard_normal(784), rng.uniform(0.0, 1.0, 784), -rng.uniform(0.0, 1.0, 784)):
         x[:50] = -0.0
         y, _ = forward(dag, x)
-        # the value starts with a minus sign, so it is joined to its option
+        # the joined form takes a value that starts with a minus sign as well
         assert main(["eval", str(path), "--input=" + ",".join(repr(float(v)) for v in x)]) == 0
         assert capsys.readouterr().out.strip() == ",".join("%.17g" % v for v in y)
 

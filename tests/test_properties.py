@@ -88,12 +88,10 @@ def test_spectral_norm_scaling(seed, scale):
 def test_frobenius_sum_dominates(seed):
     rng = np.random.default_rng(seed)
     dag = random_valid_dag(rng, n_ops=5)
-    linear = all(arc.elem.act is None and arc.elem.spec is None for arc in dag.arcs)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         sums = level_sums(dag)
-    expected = ["no activation or transform present; uniform bound defaults to 1"] if linear else []
-    assert [str(w.message) for w in caught] == expected
+    assert [str(w.message) for w in caught] == []
     for entry in sums:
         assert entry.frob_sum >= entry.sum - 1e-12
 
