@@ -53,8 +53,9 @@ __all__ = [
 ]
 
 SUM_TOLERANCE = 1e-12
-PAIR_BLOCK = 1 << 15  # Gram entries per row block of a pair sweep: 16 rows at n = 2,000
+PAIR_BLOCK = 1 << 15  # bounds per row block and matrix of a pair sweep's screen: 16 rows at n = 2,000
 _EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny
 
 
 def svd_spectral_norm(w) -> float:
@@ -305,25 +306,23 @@ def _level_value_matrices(dag: Dag, xs: np.ndarray) -> list[np.ndarray]:
     return out
 
 
-def _screen(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """Rows shifted by the first row, their squared norms, and the rounding
-    factor 4(k + 8)·eps for rows of dimension k (see ``_max_pair_ratios``).
-    Any shift keeps the bound; one near the points keeps it tight, and a
-    sample row costs no reduction."""
-    c = m - m[0]
-    return c, np.einsum("ij,ij->i", c, c), 4.0 * (m.shape[1] + 8) * _EPS
+def _augment(m: np.ndarray, signs: tuple[float, ...] = (1.0,)) -> np.ndarray:
+    """Screen matrix of the rows of ``m``: column j is [-2 c_j; 1; a_j per
+    sign], a_j = (1 + sign·rel)·s_j + sign·rel·tiny / 2 (``_max_pair_ratios``)."""
+    k, c = m.shape[1], m - m[0]
+    s, rel = np.einsum("ij,ij->i", c, c), 4.0 * (k + 8) * _EPS
+    margins = ((1.0 + sign * rel) * s + sign * rel * _TINY / 2 for sign in signs)
+    return np.vstack([-2.0 * c.T, np.ones(len(m)), *margins])
 
 
-def _gram_bound(screen, i0: int, i1: int, sign: float) -> np.ndarray:
-    """Bound on the squared distances between rows i0..i1-1 and rows i0+1..
-    of one screened matrix: s_i + s_j - 2 c_i.c_j moved by ``sign`` times
-    the rounding term, an upper bound for +1 and a lower bound for -1."""
-    c, sq, rel = screen
-    out = c[i0:i1] @ c[i0 + 1 :].T
-    out *= -2.0
-    out += (1.0 + sign * rel) * sq[i0:i1, None]
-    out += (1.0 + sign * rel) * sq[None, i0 + 1 :]
-    return out
+def _pair_bounds(aug: np.ndarray, k: int, i0: int, i1: int, margin: int = 0) -> np.ndarray:
+    """Bounds on the squared distances from rows i0 + r to rows i0 + 1 +
+    col of an ``_augment`` matrix, with its sign ``margin``: one product of
+    the rows [c_i, (1 ± rel)·s_i, 1], read back exactly (-0.5·-2c = c)."""
+    rows = np.zeros((i1 - i0, len(aug)))
+    rows[:, :k] = aug[:k, i0:i1].T * -0.5
+    rows[:, k], rows[:, k + 1 + margin] = aug[k + 1 + margin, i0:i1], 1.0
+    return rows @ aug[:, i0 + 1 :]
 
 
 def _exact_ratios(vs: list, i: np.ndarray, j: np.ndarray, xs=None, min_distance: float = 0.0):
@@ -366,23 +365,28 @@ def _max_pair_ratios(
 
     The result equals brute force bit for bit: every ratio that can reach
     the result is computed as ``np.linalg.norm(v[j] - v[i], axis=1)`` over
-    gathered rows, divided by the same form on ``xs``.  A Gram screen picks
-    those pairs.  The upper triangle is swept in row blocks of about
-    ``PAIR_BLOCK`` entries.  Per block and matrix, one matmul of the rows
-    shifted by the first row, c_i = v_i - v_0, gives the squared distances
-    d = s_i + s_j - 2 c_i.c_j with s_i = ||c_i||^2.  For rows of dimension
-    k each inner product rounds by at most gamma_k·||c_i||·||c_j|| (Higham,
-    gamma_k = k·u / (1 - k·u), u = eps / 2), so d is within
-    (k + 2)·eps·(s_i + s_j) of ||c_i - c_j||^2.  Rounding the shift moves
-    that by at most 2·eps·(s_i + s_j), and the exact form's own rounding is
-    below (k + 4)·eps·(s_i + s_j).  The margin 4(k + 8)·eps·(s_i + s_j)
-    covers the three twice over, so d plus and minus it bound the squared
-    norm the exact form computes.  Per block, the screened best pair of
-    each matrix is measured exactly and raises a running maximum; then
-    every pair whose upper bound can reach that maximum is measured exactly,
-    which includes every pair whose denominator bound reaches zero.  Pairs
-    surely at least ``min_distance`` apart are counted from the bound, the
-    ambiguous ones are measured.
+    gathered rows, divided by the same form on ``xs``.  A screen picks those
+    pairs in row blocks of about ``PAIR_BLOCK`` entries: per block and
+    matrix, one product (``_pair_bounds``) forms the (k + 2)-term inner
+    products [c_i, a_i, 1].[-2 c_j; 1; a_j] = s_i + s_j - 2 c_i.c_j ±
+    rel·(S + tiny), with c_i row i less the first row, s_i = ||c_i||^2,
+    a_i = (1 ± rel)·s_i ± rel·tiny / 2, S = s_i + s_j and rel = 4(k + 8)·eps
+    for rows of dimension k.  It rounds by at most gamma_{k+2}·(2 ||c_i||·
+    ||c_j|| + a_i + a_j) (Higham; gamma_m = m·u / (1 - m·u), u = eps / 2),
+    about (k + 2)·eps·S; rounding s_i and a_i adds (k / 2 + 1)·eps·S, the
+    shift 2·eps·S and the exact form's own rounding (k + 4)·eps·S.  rel·S
+    covers the sum, and rel·tiny = 4(k + 8)·2^-1074 covers the fewer than
+    4k + 4 roundings that can underflow, each by at most 2^-1075.  So the
+    + and - products bound the squared norm the exact form computes.  A
+    pair is counted, surely at least ``min_distance`` apart, when its lower
+    bound lo clears the square and lo and 1 / lo are normal (so fl(1 / lo)
+    is within u of 1 / lo); it is dropped when its upper bound falls short
+    of the square; the rest are measured for every matrix at once.  A
+    counted pair's score hi_v·fl(1 / lo) bounds its squared computed ratio
+    within 2.1·eps, so a score of at most best^2·(1 - 16·eps) cannot raise
+    the running maximum.  Only in a block whose top score passes is the top
+    pair measured, raising the maximum, then every counted pair still above
+    the threshold.  Without ``xs`` the score is the + bound itself.
     """
     n = len(values[0])
 
@@ -399,44 +403,39 @@ def _max_pair_ratios(
             best, used = np.maximum(best, top), used + kept
         return best, used, True
 
-    screens = [_screen(v) for v in values]
-    x_screen = None if xs is None else _screen(xs)
-    best = np.zeros(len(values))
+    augs = [_augment(v) for v in values]
+    x_aug = None if xs is None else _augment(xs, (-1.0, 1.0))
+    best, used, step = np.zeros(len(values)), 0, max(1, PAIR_BLOCK // n)
     md2 = max(min_distance, 0.0) ** 2
-    used = 0
-    step = max(1, PAIR_BLOCK // n)
+    lower, upper, drop = max(md2 * (1.0 + 4.0 * _EPS), _TINY), 1.0 / _TINY, md2 * (1.0 - 4.0 * _EPS)
     for i0 in range(0, n - 1, step):
         i1 = min(i0 + step, n - 1)
-        if xs is None:
-            # below the diagonal, entry (r, col) repeats a pair of this block
-            # reversed, which has the same norm, and the diagonal is zero
-            kept, inv, floor = True, 1.0, 1.0 - 4.0 * _EPS
-        else:
-            # entry (r, col) is the pair (i0 + r, i0 + 1 + col); j > i keeps col >= r
-            tri = np.arange(i1 - i0)[:, None] <= np.arange(n - i0 - 1)
-            lo = _gram_bound(x_screen, i0, i1, -1.0)
-            hi = _gram_bound(x_screen, i0, i1, +1.0)
-            sure = tri & (lo > md2 * (1.0 + 4.0 * _EPS))
-            kept = tri & (hi >= md2 * (1.0 - 4.0 * _EPS))
-            unsure = kept & ~sure
-            if unsure.any():
-                r, col = np.nonzero(unsure)
-                used += exact([xs], i0 + r, i0 + 1 + col)[1]
-            used += int(sure.sum())
-            # lower bound on the squared denominator, less the comparison's rounding
-            floor = np.maximum(lo, 0.0) * (1.0 - 4.0 * _EPS)
+        inv = None  # without xs every pair counts, at denominator one
+        if xs is not None:
+            lo, hi = (_pair_bounds(x_aug, xs.shape[1], i0, i1, margin) for margin in (0, 1))
+            below = np.tri(i1 - i0, k=-1, dtype=bool)  # entry (r, col) is pair (i0 + r, i0 + 1 + col):
+            lo[:, : i1 - i0][below] = hi[:, : i1 - i0][below] = -1.0  # col < r has j <= i
+            sure = (lo > lower) & (lo <= upper)
+            settled = sure | (hi < drop)
+            if not settled.all():
+                r, col = np.nonzero(~settled)
+                top, kept = exact(values, i0 + r, i0 + 1 + col)
+                best, used = np.maximum(best, top), used + kept
+            used += int(np.count_nonzero(sure))
             inv = np.divide(1.0, lo, out=np.zeros_like(lo), where=sure)
-        for lev, (v, screen) in enumerate(zip(values, screens)):
-            hi_v = _gram_bound(screen, i0, i1, +1.0)
-            score = hi_v * inv  # bounds the squared ratio of every sure pair
+        for lev, (v, aug) in enumerate(zip(values, augs)):
+            score = _pair_bounds(aug, v.shape[1], i0, i1)
+            if inv is not None:
+                score *= inv
             k = int(np.argmax(score))
-            if score.flat[k] > best[lev] ** 2:
+            if score.flat[k] <= best[lev] ** 2 * (1.0 - 16.0 * _EPS):
+                continue  # a NaN score goes on to be measured
+            if inv is None or inv.flat[k] > 0.0:
                 r, col = np.divmod([k], score.shape[1])
                 best[lev] = max(best[lev], exact([v], i0 + r, i0 + 1 + col)[0][0])
-            reach = (hi_v >= best[lev] ** 2 * floor) & kept
-            if reach.any():
-                r, col = np.nonzero(reach)
-                best[lev] = max(best[lev], exact([v], i0 + r, i0 + 1 + col)[0][0])
+            reach = ~(score <= best[lev] ** 2 * (1.0 - 16.0 * _EPS)) & (True if inv is None else inv > 0.0)
+            r, col = np.nonzero(reach)
+            best[lev] = max(best[lev], exact([v], i0 + r, i0 + 1 + col)[0][0])
     return best, used if xs is not None else n * (n - 1) // 2, False
 
 

@@ -124,8 +124,9 @@ def pair_sweep_sets() -> dict[str, tuple[np.ndarray, float]]:
     """Named (points, min_distance) sets for the exact pair sweeps: the
     smallest set, a count that leaves a short last row block, duplicated
     rows, a lattice with many pairs exactly at ``min_distance``, a
-    1e-6-spread cluster around a far 784-dimensional centre, and a spread
-    set with a 1e-8-spread cloud around one of its points."""
+    1e-6-spread cluster around a far 784-dimensional centre, a spread set
+    with a 1e-8-spread cloud around one of its points, and a cluster at the
+    origin whose squared distances are subnormal."""
     rng = np.random.default_rng(31)
     base = rng.standard_normal((150, 6))
     spread = rng.standard_normal((40, 6))
@@ -143,6 +144,13 @@ def pair_sweep_sets() -> dict[str, tuple[np.ndarray, float]]:
         # the screen shifts to the origin, so it is below the screen's
         # resolution there
         "near_pairs": (np.vstack([spread, spread[1] + 1e-8 * rng.standard_normal((60, 6))]), 1e-9),
+        # the first row at the origin and 12 rows within 1e-156 of it: their
+        # squared distances are subnormal, so no reciprocal of their bounds
+        # is a normal number; every pair counts, however close
+        "subnormal": (
+            np.vstack([np.zeros((1, 6)), 4e-158 * rng.standard_normal((12, 6)), rng.standard_normal((6, 6))]),
+            0.0,
+        ),
     }
 
 

@@ -282,7 +282,9 @@ def test_max_pairwise_distance_equals_brute_force(monkeypatch, points):
     brute = float(np.linalg.norm(pts[j] - pts[i], axis=1).max())
     for mode in PAIR_SWEEP_MODES:
         set_pair_sweep_mode(monkeypatch, *mode)
-        assert max_pairwise_distance(pts, pair_cap=None) == (brute, False), mode
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert max_pairwise_distance(pts, pair_cap=None) == (brute, False), mode
 
 
 def test_max_pairwise_distance_near_ties_equal_brute_force():

@@ -38,7 +38,7 @@ from unrectify import (
     uniform_bound,
 )
 from unrectify import stability
-from unrectify.elements import linear_part
+from unrectify.elements import element_bound, linear_part
 from unrectify.stability import SUM_TOLERANCE, _level_value_matrices, _max_pair_ratios
 
 
@@ -420,13 +420,16 @@ def loop_gain(dag, xs, min_distance=1e-9):
 
 
 def sweep_networks(dim):
-    """Seeded networks over ``dim`` inputs: a rectifier series stack, and for
-    narrow inputs a compact fusion stack, raw and Frobenius-rescaled."""
+    """Seeded networks over ``dim`` inputs: a rectifier series stack, the
+    same stack without biases, whose values scale with the input so that
+    pairs near the origin keep their differences, and for narrow inputs a
+    compact fusion stack, raw and Frobenius-rescaled."""
     rng = np.random.default_rng(32 + dim)
     width = min(dim, 16)
     mats = [rng.standard_normal((width, dim)) / np.sqrt(dim)]
     mats += [rng.standard_normal((width, width)) for _ in range(2)]
     nets = {"series": build_series_stack(mats, [rng.standard_normal(width) for _ in mats])}
+    nets["unbiased"] = build_series_stack(mats)
     if dim <= 16:
         layers = [
             (
@@ -496,10 +499,26 @@ def test_empirical_gain_equals_per_row_loop(monkeypatch, points, net):
     gains, used = loop_gain(dag, xs, min_distance)
     for mode in PAIR_SWEEP_MODES:
         set_pair_sweep_mode(monkeypatch, *mode)
-        curve = empirical_gain(dag, xs, min_distance=min_distance)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            curve = empirical_gain(dag, xs, min_distance=min_distance)
         assert not curve.pairs_subsampled
         assert curve.gains == gains, mode
         assert curve.pairs_used == used, mode
+
+
+def test_pair_bounds_enclose_the_exact_squared_distances():
+    # the screen's bounds against the squared brute-force norm of every pair,
+    # subnormal squares included; the two-sign matrix is the x side's, the
+    # default one each level's, whose upper bound must hold on its own
+    for name, (xs, _) in SWEEP_SETS.items():
+        n, k = xs.shape
+        i, j = np.triu_indices(n, 1)
+        exact = np.linalg.norm(xs[j] - xs[i], axis=1) ** 2
+        both = stability._augment(xs, (-1.0, 1.0))
+        lo, hi = (stability._pair_bounds(both, k, 0, n - 1, m)[i, j - 1] for m in (0, 1))
+        level_hi = stability._pair_bounds(stability._augment(xs), k, 0, n - 1)[i, j - 1]
+        assert (lo <= exact).all() and (exact <= hi).all() and (exact <= level_hi).all(), name
 
 
 def test_empirical_gain_sweep_memory_stays_flat():
@@ -650,14 +669,20 @@ def _oracle_arcs_by_level(dag):
     return lvl, per_level
 
 
+def _oracle_share(arc, d):
+    """An arc's gain bound, d with a nonlinearity and max(d, 1) without,
+    over max(d, 1): at d >= 1 every arc counts d, which factors out."""
+    return d if d < 1.0 and element_bound(arc.elem) is not None else 1.0
+
+
 def _oracle_level_sums(dag, d, spectral):
     lvl, per_level = _oracle_arcs_by_level(dag)
     frob = stability._arc_norms(dag, "frobenius")
     out = []
     for n in range(1, max(lvl.values()) + 1):
         arcs = per_level.get(n, [])
-        spec_total = d * sum(spectral[a.id] for a in arcs)
-        frob_total = d * sum(frob[a.id] for a in arcs)
+        spec_total = max(d, 1.0) * sum(_oracle_share(a, d) * spectral[a.id] for a in arcs)
+        frob_total = max(d, 1.0) * sum(_oracle_share(a, d) * frob[a.id] for a in arcs)
         out.append(LevelSum(level=n, sum=spec_total, frob_sum=frob_total))
     return out
 
@@ -678,8 +703,8 @@ def _oracle_certify(dag):
     for n in range(1, top + 1):
         total = 0.0
         for arc in per_level.get(n, []):
-            total += spectral[arc.id] * c[lvl[arc.src]]
-        c[n] = d * total
+            total += _oracle_share(arc, d) * spectral[arc.id] * c[lvl[arc.src]]
+        c[n] = max(d, 1.0) * total
     return StabilityReport(d=float(d), level_sums=tuple(sums), stable_from=stable_from, certified_C=tuple(c))
 
 
@@ -690,8 +715,8 @@ def _oracle_rescale(dag, use_frobenius=False):
     factors = {}
     for n in range(1, max(lvl.values()) + 1):
         arcs = per_level.get(n, [])
-        unit_mass = d * sum(1.0 for a in arcs if a.elem.weight is None)
-        weighted = d * sum(norms[a.id] for a in arcs if a.elem.weight is not None)
+        unit_mass = max(d, 1.0) * sum(_oracle_share(a, d) for a in arcs if a.elem.weight is None)
+        weighted = max(d, 1.0) * sum(_oracle_share(a, d) * norms[a.id] for a in arcs if a.elem.weight is not None)
         if unit_mass + weighted <= 1.0 + SUM_TOLERANCE:
             continue
         if unit_mass > 1.0 + SUM_TOLERANCE or weighted == 0.0:
@@ -890,6 +915,18 @@ def _random_cpwl_net(rng):
     chains[0] = grow(chains[0], int(rng.integers(0, 3)))
     net = concatenate(chains) if len(chains) > 1 else chains[0]
     return grow(net, int(rng.integers(0, 3)))
+
+
+def test_one_pass_certificate_matches_the_oracle_on_random_cpwl_graphs():
+    # random slopes put d below and above one, where arcs without a
+    # nonlinearity count max(d, 1) and the others d
+    rng = np.random.default_rng(56)
+    bounds = []
+    for _ in range(40):
+        net = _random_cpwl_net(rng)
+        bounds.append(certify(net).d)
+        _assert_matches_oracles(net, rng.standard_normal((5, net.input_dim)))
+    assert sum(d < 1.0 for d in bounds) >= 5 and sum(d > 1.0 for d in bounds) >= 5
 
 
 def test_certified_values_bound_the_pair_gain_at_every_level():
