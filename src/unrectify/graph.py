@@ -77,8 +77,6 @@ class Arc:
     src: int
     dst: int
     elem: el.ArcElement
-    in_dim: int
-    out_dim: int
 
 
 @dataclass(frozen=True)
@@ -230,12 +228,12 @@ def _node_dims(dag: Dag) -> tuple[tuple[int, ...], list[str]]:
             continue
         incoming = _ordered_in_arcs(dag, node)
         for arc in incoming:
-            if arc.in_dim != dims[arc.src]:
+            if arc.elem.in_dim != dims[arc.src]:
                 problems.append(
                     f"arc {arc.id} ({arc.src}->{arc.dst}) declares input dim "
-                    f"{arc.in_dim} but node {arc.src} produces {dims[arc.src]}"
+                    f"{arc.elem.in_dim} but node {arc.src} produces {dims[arc.src]}"
                 )
-        outs = [arc.out_dim for arc in incoming]
+        outs = [arc.elem.out_dim for arc in incoming]
         if node.role == ROLE_ADD and len(set(outs)) > 1:
             problems.append(
                 f"dimension fault at node {nid}: add inputs differ {sorted(set(outs))}"
@@ -268,11 +266,6 @@ def validate(dag: Dag) -> ValidationReport:
             continue
         if arc.src == arc.dst:
             problems.append(f"arc {arc.id} is a self-loop on node {arc.src}")
-        if (arc.elem.in_dim, arc.elem.out_dim) != (arc.in_dim, arc.out_dim):
-            problems.append(
-                f"arc {arc.id} declares dims {arc.in_dim}->{arc.out_dim} but its "
-                f"element maps {arc.elem.in_dim}->{arc.elem.out_dim}"
-            )
     if problems:
         return ValidationReport(tuple(problems), n, len(dag.arcs), 0, False)
 
@@ -454,7 +447,7 @@ class GraphBuilder:
         role = self.nodes[node_id][1]
         if role == ROLE_INPUT:
             return self.input_dim
-        return _node_dim(role, [self.arcs[a].out_dim for a in self._incoming[node_id]])
+        return _node_dim(role, [self.arcs[a].elem.out_dim for a in self._incoming[node_id]])
 
     def add_node(self, role: str) -> int:
         nid = len(self.nodes)
@@ -469,7 +462,7 @@ class GraphBuilder:
                 f"dimension {self.dim(src)}"
             )
         aid = len(self.arcs)
-        self.arcs.append(Arc(aid, src, dst, elem, elem.in_dim, elem.out_dim))
+        self.arcs.append(Arc(aid, src, dst, elem))
         self._incoming[dst].append(aid)
         return aid
 
@@ -492,7 +485,7 @@ class GraphBuilder:
             if arc.src in node_map and arc.dst in node_map:
                 arc_map[arc.id] = aid = len(self.arcs)
                 src, dst = node_map[arc.src], node_map[arc.dst]
-                self.arcs.append(Arc(aid, src, dst, arc.elem, arc.in_dim, arc.out_dim))
+                self.arcs.append(Arc(aid, src, dst, arc.elem))
         for node in g.nodes[1:]:
             if node.id in node_map:
                 self._incoming[node_map[node.id]] = [arc_map[a.id] for a in _ordered_in_arcs(g, node)]
@@ -516,13 +509,6 @@ def _builder_from(dag: Dag) -> GraphBuilder:
 
 def series(g: Dag, elem: el.ArcElement) -> Dag:
     """Feed the graph's output through one more element."""
-    g.require_valid()
-    out_dim = g.node_dims[g.output_node]
-    if elem.in_dim != out_dim:
-        raise GraphConstructionError(
-            f"series: graph output dimension {out_dim} does not match element "
-            f"input dimension {elem.in_dim}"
-        )
     b = _builder_from(g)
     nid = b.add_relay(g.output_node, elem)
     return b.finish(nid, g.labels)
@@ -547,7 +533,6 @@ def duplicate(g: Dag, m: int) -> Dag:
     """Stack m copies of the graph's output."""
     if m < 1:
         raise GraphConstructionError(f"duplicate needs at least one copy, got {m}")
-    g.require_valid()
     b = _builder_from(g)
     dim = g.node_dims[g.output_node]
     cat = b.add_node(ROLE_CONCAT)

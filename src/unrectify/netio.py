@@ -12,10 +12,12 @@ a field of another kind, a field of no kind, and both ``cpwl`` and
 ``pool`` on one element are rejected.  See docs/network_format.md for the
 full schema.
 
-Loading is permissive about graph semantics (cycles, dimension faults) so
-that ``validate`` can report problems on whatever the file describes;
-structural errors in the file itself raise ``NetworkFormatError`` naming
-the offending field.
+Loading is permissive about graph semantics (cycles, an arc whose source
+node has another dimension) so that ``validate`` can report problems on
+whatever the file describes.  Structural errors in the file itself raise
+``NetworkFormatError`` naming the offending field; so does an arc whose
+declared ``in_dim`` and ``out_dim`` are not the dimensions its element
+maps, since the graph keeps only the element's.
 """
 from __future__ import annotations
 
@@ -218,8 +220,8 @@ def dag_to_dict(dag: Dag) -> dict:
                 "src": arc.src,
                 "dst": arc.dst,
                 "elem": element_to_dict(arc.elem),
-                "in_dim": arc.in_dim,
-                "out_dim": arc.out_dim,
+                "in_dim": arc.elem.in_dim,
+                "out_dim": arc.elem.out_dim,
             }
         )
     data: dict[str, Any] = {
@@ -272,21 +274,20 @@ def dag_from_dict(data: dict) -> Dag:
             for key in ("src", "dst", "in_dim", "out_dim")
         )
         elem = element_from_dict(_need(entry, "elem", where), in_dim, f"{where}.elem")
-        arcs.append(Arc(i, src, dst, elem, in_dim, out_dim))
-
-    incoming: dict[int, list[int]] = {}
-    has_out = set()
-    for arc in arcs:
-        incoming.setdefault(arc.dst, []).append(arc.id)
-        has_out.add(arc.src)
+        if (elem.in_dim, elem.out_dim) != (in_dim, out_dim):
+            raise NetworkFormatError(
+                f"{where}: declares dims {in_dim}->{out_dim} but its element maps "
+                f"{elem.in_dim}->{elem.out_dim}"
+            )
+        arcs.append(Arc(i, src, dst, elem))
 
     if "output_node" in data:
         output_node = _int(data["output_node"], "output_node")
     else:
-        sinks = [nid for nid in ids if nid not in has_out]
+        sinks = sorted(set(ids) - {arc.src for arc in arcs})
         if len(sinks) != 1:
             raise NetworkFormatError(
-                f"output_node missing and the sink is ambiguous (sinks: {sorted(sinks)})"
+                f"output_node missing and the sink is ambiguous (sinks: {sinks})"
             )
         output_node = sinks[0]
 
@@ -294,7 +295,7 @@ def dag_from_dict(data: dict) -> Dag:
     for nid in range(len(ids)):
         role = roles[nid]
         if role in ("concat", "add"):
-            order = orders.get(nid, tuple(incoming.get(nid, [])))
+            order = orders[nid] if nid in orders else tuple(a.id for a in arcs if a.dst == nid)
         else:
             order = ()
         nodes.append(Node(nid, role, order))

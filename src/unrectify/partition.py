@@ -310,6 +310,8 @@ def max_pairwise_distance(
     if pair_cap is not None and pair_cap < 1:
         raise ValueError(f"pair_cap must be at least 1, got {pair_cap}")
     pts = np.asarray(points, dtype=float)
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("points must be finite")
     if len(pts) < 2:
         return 0.0, False
     best, _, subsampled = stability._max_pair_ratios([pts], budget=pair_cap, seed=seed)

@@ -350,7 +350,7 @@ def test_lenet5_equals_the_written_out_stages(seed):
     assert list(got.labels.items()) == list(want.labels.items())
     assert len(got.arcs) == len(want.arcs)
     for a, b in zip(got.arcs, want.arcs):
-        assert (a.id, a.src, a.dst, a.in_dim, a.out_dim) == (b.id, b.src, b.dst, b.in_dim, b.out_dim)
+        assert (a.id, a.src, a.dst, a.elem.in_dim, a.elem.out_dim) == (b.id, b.src, b.dst, b.elem.in_dim, b.elem.out_dim)
         assert (a.elem.act, a.elem.spec, a.elem.dim) == (b.elem.act, b.elem.spec, b.elem.dim), a.id
         assert _same_array(a.elem.weight, b.elem.weight), a.id
         assert _same_array(a.elem.bias, b.elem.bias), a.id

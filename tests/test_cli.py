@@ -227,6 +227,17 @@ def test_lenet_partition_command_smoke(tmp_path, capsys):
     assert "(synthetic images)" in capsys.readouterr().out
 
 
+def test_lenet_partition_command_defaults_to_synthetic_images(tmp_path, capsys):
+    message = "no dataset directory given; using synthetic standard-normal images"
+    with pytest.warns(UserWarning, match=message):
+        rc = main(["lenet-partition", "--subset", "20", "--seed", "1", "--out", str(tmp_path)])
+    assert rc == 0
+    csv = (tmp_path / "lenet_stats.csv").read_text().splitlines()
+    assert csv[0] == STATS_HEADER
+    assert len(csv) == 5
+    assert "(synthetic images)" in capsys.readouterr().out
+
+
 def test_lenet_partition_command_reads_idx_files(tmp_path, capsys):
     from conftest import write_idx_pair
 

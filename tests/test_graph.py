@@ -225,10 +225,10 @@ def test_validate_reports_cycle():
         Node(3, ROLE_RELAY),
     )
     arcs = (
-        Arc(0, 0, 1, Identity(2), 2, 2),
-        Arc(1, 1, 2, Identity(2), 2, 2),
-        Arc(2, 3, 1, Identity(2), 2, 2),  # back-arc into the chain
-        Arc(3, 2, 3, Identity(2), 2, 2),
+        Arc(0, 0, 1, Identity(2)),
+        Arc(1, 1, 2, Identity(2)),
+        Arc(2, 3, 1, Identity(2)),  # back-arc into the chain
+        Arc(3, 2, 3, Identity(2)),
     )
     report = validate(Dag(2, nodes, arcs, 3))
     assert not report.ok
@@ -238,8 +238,8 @@ def test_validate_reports_cycle():
 def test_validate_reports_dimension_fault_at_node():
     nodes = (Node(0, ROLE_INPUT), Node(1, ROLE_RELAY), Node(2, ROLE_RELAY))
     arcs = (
-        Arc(0, 0, 1, Linear(np.ones((3, 2))), 2, 3),
-        Arc(1, 1, 2, Identity(4), 4, 4),  # claims dim 4 but node 1 produces 3
+        Arc(0, 0, 1, Linear(np.ones((3, 2)))),
+        Arc(1, 1, 2, Identity(4)),  # claims dim 4 but node 1 produces 3
     )
     report = validate(Dag(2, nodes, arcs, 2))
     assert not report.ok
@@ -249,8 +249,8 @@ def test_validate_reports_dimension_fault_at_node():
 def test_validate_requires_single_sink():
     nodes = (Node(0, ROLE_INPUT), Node(1, ROLE_RELAY), Node(2, ROLE_RELAY))
     arcs = (
-        Arc(0, 0, 1, Identity(2), 2, 2),
-        Arc(1, 0, 2, Identity(2), 2, 2),
+        Arc(0, 0, 1, Identity(2)),
+        Arc(1, 0, 2, Identity(2)),
     )
     report = validate(Dag(2, nodes, arcs, 2))
     assert not report.ok
@@ -266,10 +266,10 @@ def test_validate_names_unreachable_and_stranded_nodes():
         Node(4, ROLE_RELAY),
     )
     arcs = (
-        Arc(0, 0, 1, Identity(2), 2, 2),
-        Arc(1, 1, 2, Identity(2), 2, 2),
-        Arc(2, 3, 2, Identity(2), 2, 2),
-        Arc(3, 1, 4, Identity(2), 2, 2),
+        Arc(0, 0, 1, Identity(2)),
+        Arc(1, 1, 2, Identity(2)),
+        Arc(2, 3, 2, Identity(2)),
+        Arc(3, 1, 4, Identity(2)),
     )
     report = validate(Dag(2, nodes, arcs, 2))
     assert "nodes unreachable from the input: [3]" in report.problems
@@ -393,8 +393,8 @@ def test_combinators_keep_a_permuted_concat_order():
     rng = np.random.default_rng(13)
     nodes = (Node(0, ROLE_INPUT), Node(1, "concat", (1, 0)))
     arcs = (
-        Arc(0, 0, 1, Linear(rng.standard_normal((3, 2))), 2, 3),
-        Arc(1, 0, 1, Linear(rng.standard_normal((1, 2))), 2, 1),
+        Arc(0, 0, 1, Linear(rng.standard_normal((3, 2)))),
+        Arc(1, 0, 1, Linear(rng.standard_normal((1, 2)))),
     )
     g = Dag(2, nodes, arcs, 1)
     xs = rng.standard_normal((5, 2))

@@ -25,6 +25,7 @@ from unrectify import (
     series,
     validate,
 )
+from unrectify.cli import main
 from unrectify.netio import dag_from_dict, dag_to_dict
 
 
@@ -263,8 +264,16 @@ def _set(path, value):
         for key in path[:-1]:
             target = target[key]
         target[path[-1]] = value
+        return data
 
     return edit
+
+
+def _ambiguous_sink(data):
+    """Drop the output node and add a second node that no arc leaves."""
+    del data["output_node"]
+    data["nodes"].append({"id": 2, "role": "relay"})
+    return data
 
 
 @pytest.mark.parametrize(
@@ -299,6 +308,34 @@ def _set(path, value):
         (_sparse_weight(values=[1.0, float("nan")]), r"arcs\[0\]\.elem: weight entries must be finite"),
         (_set(("arcs", 0, "elem"), {"kind": "linear"}), r"arcs\[0\]\.elem"),
         (_set(("arcs", 0, "elem"), {"kind": "activation"}), r"arcs\[0\]\.elem"),
+        (_set(("nodes", 1), {"id": 1}), r"nodes\[1\]: missing field 'role'"),
+        (_sparse_weight(index=3), r"arcs\[0\]\.elem\.W: index and values must be arrays"),
+        (_sparse_weight(values="12"), r"arcs\[0\]\.elem\.W: index and values must be arrays"),
+        (_sparse_weight(index=[0, 10**400]), r"arcs\[0\]\.elem\.W\.index: positions must lie"),
+        (_sparse_weight(values=["a", "b"]), r"arcs\[0\]\.elem\.W\.values: not numeric"),
+        (_sparse_weight(values=[[1.0], [2.0]]), r"arcs\[0\]\.elem\.W\.values: must be a flat array"),
+        (_set(("arcs", 0, "elem"), {"kind": "linear", "W": [1.0, 2.0]}), r"arcs\[0\]\.elem\.W: expected a 2-D"),
+        (
+            _set(("arcs", 0, "elem"), {"kind": "activation", "pool": {"kind": "avg", "block": 2}}),
+            r"arcs\[0\]\.elem\.pool\.kind: unknown pool 'avg'",
+        ),
+        (_set(("arcs", 0, "elem"), {"kind": "activation", "cpwl": {"right": [[1.0]]}}), r"arcs\[0\]\.elem\.cpwl"),
+        (
+            _set(("arcs", 0, "elem"), {"kind": "transform", "transform": {"kind": "softmax", "lambda": 0.0}}),
+            r"arcs\[0\]\.elem\.transform: transform scale must be finite and positive",
+        ),
+        (lambda data: [data], "top level must be an object"),
+        (_set(("nodes",), {}), "nodes and arcs must be arrays"),
+        (_set(("arcs",), "0->1"), "nodes and arcs must be arrays"),
+        (_set(("nodes", 1, "role"), "split"), r"nodes\[1\]\.role: unknown role 'split'"),
+        (_set(("nodes", 1, "concat_order"), 0), r"nodes\[1\]\.concat_order: must be an array"),
+        (_set(("nodes", 1, "id"), 2), r"nodes: ids must be dense"),
+        (_ambiguous_sink, r"output_node missing and the sink is ambiguous \(sinks: \[1, 2\]\)"),
+        (_set(("arcs", 0, "out_dim"), 3), r"^arcs\[0\]: declares dims 2->3 but its element maps 2->2$"),
+        (
+            _set(("arcs", 0, "elem"), {"kind": "linear", "W": [[1.0, 0.0, 0.0]]}),
+            r"^arcs\[0\]: declares dims 2->2 but its element maps 3->1$",
+        ),
     ],
     ids=[
         "node_entry", "node_id", "arc_src", "arc_elem",
@@ -309,14 +346,73 @@ def _set(path, value):
         "sparse_decreasing_index", "sparse_length_mismatch", "sparse_one_axis_shape",
         "sparse_empty_shape", "sparse_fractional_shape", "sparse_nan_value",
         "linear_without_W", "activation_without_cpwl_or_pool",
+        "node_without_role", "sparse_index_not_array", "sparse_values_not_array",
+        "sparse_index_past_float", "sparse_non_numeric_values", "sparse_nested_values",
+        "dense_one_axis_W", "unknown_pool_kind", "cpwl_piece_of_one_number",
+        "transform_lambda_not_positive", "top_level_not_object", "nodes_not_array",
+        "arcs_not_array", "unknown_role", "concat_order_not_array", "node_ids_not_dense",
+        "ambiguous_sink", "declared_out_dim", "declared_dims_of_a_weight",
     ],
 )
 def test_malformed_fields_are_named(edit, field):
     data = _small_network()
     assert validate(dag_from_dict(data)).ok
-    edit(data)
+    data = edit(data)
     with pytest.raises(NetworkFormatError, match=field):
         dag_from_dict(data)
+
+
+def _arc(src, dst, elem=None, out_dim=2):
+    return {"src": src, "dst": dst, "elem": elem or {"kind": "identity"}, "in_dim": 2, "out_dim": out_dim}
+
+
+def _add_node_of_unequal_inputs(data):
+    """Make node 1 an add node over a 2-wide and a 3-wide arc."""
+    data["nodes"][1]["role"] = "add"
+    data["arcs"].append(_arc(0, 1, {"kind": "linear", "W": [[1.0, 0.0]] * 3}, out_dim=3))
+    return data
+
+
+_INPUT, _CONCAT = {"id": 0, "role": "input"}, {"id": 1, "role": "concat"}
+
+
+@pytest.mark.parametrize(
+    "edit, line",
+    [
+        (_set(("nodes", 0, "role"), "relay"), "node 0 must be the input node"),
+        (_set(("nodes",), [_INPUT, _CONCAT, {"id": 2, "role": "input"}]), "node 2 duplicates the input role"),
+        (_set(("arcs", 0, "dst"), 5), "arc 0 references a missing node"),
+        (_set(("arcs",), [_arc(0, 1), _arc(1, 1)]), "arc 1 is a self-loop on node 1"),
+        (_set(("arcs",), [_arc(0, 1), _arc(1, 0)]), "input node has 1 incoming arcs"),
+        (_set(("nodes",), [_INPUT, _CONCAT, {"id": 2, "role": "add"}]), "node 2 (add) has no incoming arcs"),
+        (
+            _set(("nodes", 1, "concat_order"), [1]),
+            "node 1 concat order [1] does not match its incoming arcs [0]",
+        ),
+        (_set(("output_node",), 7), "output node 7 does not exist"),
+        (_add_node_of_unequal_inputs, "dimension fault at node 1: add inputs differ [2, 3]"),
+    ],
+    ids=[
+        "node_0_not_input", "second_input", "arc_to_missing_node", "self_loop",
+        "input_with_incoming_arc", "add_without_incoming_arcs", "concat_order_mismatch",
+        "missing_output_node", "add_inputs_differ",
+    ],
+)
+def test_validate_reports_each_structural_fault_of_a_file(tmp_path, capsys, edit, line):
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(edit(_small_network())))
+    assert main(["validate", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("invalid: ") and f"  - {line}\n" in out
+
+
+def test_validate_exits_2_on_dims_the_element_does_not_map(tmp_path, capsys):
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(_set(("arcs", 0, "out_dim"), 3)(_small_network())))
+    assert main(["validate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: arcs[0]: declares dims 2->3 but its element maps 2->2\n"
+    assert captured.out == ""
 
 
 _RELU = {"right": [[1.0, 0.0]], "left": []}

@@ -300,6 +300,18 @@ def test_max_pairwise_distance_near_ties_equal_brute_force():
         assert max_pairwise_distance(pts, pair_cap=None) == (brute, False)
 
 
+@pytest.mark.parametrize("row", [0, 1, 2])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_max_pairwise_distance_rejects_non_finite_points(row, value):
+    # the finite pair is 5 apart; a NaN used to drop out of the maximum
+    pts = np.array([[0.0, 0.0], [1.0, 1.0], [3.0, 4.0]])
+    pts[row, 0] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="points must be finite"):
+            max_pairwise_distance(pts, pair_cap=None)
+
+
 def sampled_loop_distance(pts, cap, seed):
     """The seeded pair sample of the distance sweep as a standalone loop:
     ``cap`` draws (i, j) in rounds of 2^17, i drawn before j, pairs with

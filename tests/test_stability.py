@@ -735,8 +735,6 @@ def _oracle_rescale(dag, use_frobenius=False):
             a.src,
             a.dst,
             replace(a.elem, weight=a.elem.weight * factors[a.id]) if a.id in factors else a.elem,
-            a.in_dim,
-            a.out_dim,
         )
         for a in dag.arcs
     )
@@ -775,7 +773,7 @@ def _assert_same_graph(got, want):
     )
     assert len(got.arcs) == len(want.arcs)
     for a, b in zip(got.arcs, want.arcs):
-        assert (a.id, a.src, a.dst, a.in_dim, a.out_dim) == (b.id, b.src, b.dst, b.in_dim, b.out_dim)
+        assert (a.id, a.src, a.dst, a.elem.in_dim, a.elem.out_dim) == (b.id, b.src, b.dst, b.elem.in_dim, b.elem.out_dim)
         assert (a.elem.act, a.elem.spec, a.elem.dim) == (b.elem.act, b.elem.spec, b.elem.dim)
         assert _same_arrays(a.elem.weight, b.elem.weight) and _same_arrays(a.elem.bias, b.elem.bias)
 
