@@ -17,6 +17,12 @@ Boundary convention: a right piece activates only for x strictly greater than
 its breakpoint, a left piece only for x strictly smaller.  Points sitting on a
 breakpoint therefore fold into the inactive side, which keeps the per-input
 codes deterministic on measure-zero boundary sets.
+
+The activation kernels run once per arc on every query, so each makes one
+finite test (a sum of squares, ``_all_finite``) and one numpy pass per CPWL
+piece or per pool column; none reduces over a short last axis.  Their
+outputs keep the bits of a sum started from +0.0 and of a max reduction,
+signed zeros included.
 """
 from __future__ import annotations
 
@@ -155,31 +161,64 @@ class UnRectifyingPattern:
     piece_ids: np.ndarray
 
 
+def _all_finite(arr: np.ndarray) -> bool:
+    """Whether every entry of ``arr`` is finite, by one test in the common case.
+
+    A sum of squares is non-finite if any entry is (or if it overflows), so
+    the entries are tested one by one only when it is.  Order "K" reads them
+    in memory order, so no layout is copied; vdot, unlike dot and sum, raises
+    no overflow warning on finite entries.
+    """
+    flat = arr.ravel(order="K")
+    return math.isfinite(np.vdot(flat, flat)) or bool(np.isfinite(arr).all())
+
+
 def cpwl_eval(spec: CpwlSpec, x):
-    """Evaluate the CPWL activation elementwise."""
+    """Evaluate the CPWL activation elementwise.
+
+    One numpy pass per piece builds its ramp; the sum starts from the first
+    term.  A right ramp at a zero knot skips ``x - 0.0`` and a unit
+    coefficient skips ``1.0 * ramp``: ``np.maximum(t, 0.0)`` is +0.0 at
+    t = ±0.0, so neither changes a bit.  For the same reason the first term
+    is -0.0 only under a coefficient that is not positive, and then ``+ 0.0``
+    gives the +0.0 of a sum started from +0.0.
+    """
     arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
+    if not _all_finite(arr):
         raise ValueError("activation input must be finite")
-    out = np.zeros_like(arr)
-    for coeff, knot in spec.right_pieces:
-        out += coeff * np.maximum(arr - knot, 0.0)
-    for coeff, knot in spec.left_pieces:
-        out += coeff * np.maximum(knot - arr, 0.0)
-    if np.isscalar(x) or np.ndim(x) == 0:
-        return float(out)
-    return out
+    out = None
+    for right, (coeff, knot) in _sided_pieces(spec):
+        ramp = np.maximum((arr - knot if knot else arr) if right else knot - arr, 0.0)
+        term = ramp if coeff == 1.0 else coeff * ramp
+        if out is not None:
+            out += term
+        else:
+            out = term + 0.0 if coeff <= 0.0 else term
+    return float(out) if out.ndim == 0 else out
 
 
 def cpwl_piece_ids(spec: CpwlSpec, x) -> np.ndarray:
-    """Bitmask of strictly active pieces per coordinate."""
+    """Bitmask of strictly active pieces per coordinate: bit k for right
+    piece k, bit ``len(right_pieces) + k`` for left piece k.  The first
+    piece's bits start the mask; each further piece is one pass."""
     arr = np.asarray(x, dtype=float)
-    ids = np.zeros(arr.shape, dtype=np.int64)
-    for k, (_, knot) in enumerate(spec.right_pieces):
-        ids |= (arr > knot).astype(np.int64) << k
-    shift = len(spec.right_pieces)
-    for k, (_, knot) in enumerate(spec.left_pieces):
-        ids |= (arr < knot).astype(np.int64) << (shift + k)
+    ids = None
+    for k, (right, (_, knot)) in enumerate(_sided_pieces(spec)):
+        active = np.array(arr > knot if right else arr < knot, dtype=np.int64)
+        if ids is None:
+            ids = active
+        else:
+            ids |= active << k
     return ids
+
+
+def _sided_pieces(spec: CpwlSpec):
+    """(is right piece, (coefficient, knot)) over the right pieces, then the
+    left ones: the order of the piece bits."""
+    for piece in spec.right_pieces:
+        yield True, piece
+    for piece in spec.left_pieces:
+        yield False, piece
 
 
 def cpwl_slope_offset(spec: CpwlSpec, x) -> tuple[np.ndarray, np.ndarray]:
@@ -201,7 +240,7 @@ def cpwl_slope_offset(spec: CpwlSpec, x) -> tuple[np.ndarray, np.ndarray]:
 def unrectify(spec: CpwlSpec, x) -> UnRectifyingPattern:
     """Replace the activation at x by its active linear pieces."""
     arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
+    if not _all_finite(arr):
         raise ValueError("activation input must be finite")
     slope, offset = cpwl_slope_offset(spec, arr)
     ids = cpwl_piece_ids(spec, arr)
@@ -229,22 +268,34 @@ def activation_bound(spec: CpwlSpec) -> float:
     return float(np.max(np.abs(slope)))
 
 
-def pool_values(spec: PoolSpec, x) -> np.ndarray:
-    """Blockwise max along the last axis; rectified pools clamp at zero."""
-    arr = np.asarray(x, dtype=float)
-    # the max can drop a non-finite entry; a sum of squares is non-finite if
-    # any entry is.  vdot, unlike dot and sum, raises no overflow warning.
-    flat = arr.ravel(order="K")
-    if not math.isfinite(np.vdot(flat, flat)) and not np.isfinite(arr).all():
-        raise ValueError("activation input must be finite")
+def _pool_columns(spec: PoolSpec, arr: np.ndarray) -> list[np.ndarray]:
+    """Entry i of every block along the last axis, as strided views, for
+    i < block.  A reduction over a short last axis is slow in numpy; one
+    ufunc pass per column is not."""
     if arr.shape[-1] % spec.block:
         raise ValueError(
             f"pool input length {arr.shape[-1]} is not a multiple of block {spec.block}"
         )
-    blocks = arr.reshape(*arr.shape[:-1], arr.shape[-1] // spec.block, spec.block)
-    out = blocks.max(axis=-1)
+    return [arr[..., i :: spec.block] for i in range(spec.block)]
+
+
+def pool_values(spec: PoolSpec, x) -> np.ndarray:
+    """Blockwise max along the last axis; rectified pools clamp at zero.
+
+    One ``np.maximum`` pass per block column, in column order, then one for
+    the clamp.  ``np.maximum`` returns its second operand on a tie, as the
+    max reduction does, so a signed zero comes out as the reduction's did.
+    Any non-finite entry is an error, even one the max would drop.
+    """
+    arr = np.asarray(x, dtype=float)
+    if not _all_finite(arr):
+        raise ValueError("activation input must be finite")
+    cols = _pool_columns(spec, arr)
+    out = np.maximum(cols[0], cols[1])
+    for col in cols[2:]:
+        np.maximum(out, col, out=out)
     if spec.rectified:
-        out = np.maximum(out, 0.0)
+        np.maximum(out, 0.0, out=out)
     return out
 
 
@@ -252,17 +303,28 @@ def pool_ids(spec: PoolSpec, x) -> np.ndarray:
     """Selection code per block: i+1 when entry i wins, 0 for a dead block.
 
     Ties select the lowest index.  Rectified pools are dead unless the block
-    maximum is strictly positive; plain max pools always select.
+    maximum is strictly positive; plain max pools always select.  A NaN
+    wins its block, the first NaN if there are more, and is not positive.
+
+    Each block column after the first is one strict ``>`` against the
+    running maximum, which keeps the lowest index on a tie, and one
+    ``np.maximum``, which keeps a NaN once it is met.  So a block with a
+    NaN is dead when rectified; only a plain pool then looks for its
+    first NaN, once some block holds one.
     """
     arr = np.asarray(x, dtype=float)
-    blocks = arr.reshape(*arr.shape[:-1], arr.shape[-1] // spec.block, spec.block)
-    sel = np.argmax(blocks, axis=-1).ravel()
-    ids = sel.astype(np.int64) + 1
+    cols = _pool_columns(spec, arr)
+    ids = np.add(cols[1] > cols[0], 1, dtype=np.int64)
+    best = np.maximum(cols[0], cols[1])
+    for i in range(2, spec.block):
+        np.putmask(ids, cols[i] > best, i + 1)
+        np.maximum(best, cols[i], out=best)
     if spec.rectified:
-        # the winner's value (the first NaN, if any) read at its flat index:
-        # cheaper than take_along_axis, and than a max over a short last axis
-        ids[~(blocks.reshape(-1, spec.block)[np.arange(len(sel)), sel] > 0.0)] = 0
-    return ids.reshape(blocks.shape[:-1])
+        ids *= best > 0.0
+    elif math.isnan(np.vdot(best, best)):
+        for i in reversed(range(spec.block)):
+            ids[np.isnan(cols[i])] = i + 1
+    return ids
 
 
 MAXLU2_SYMBOLS = {0: "dead", 1: "sel_left", 2: "sel_right"}
@@ -285,7 +347,7 @@ def maxlu2(x) -> tuple[float, str]:
 def transform_eval(spec: TransformSpec, x) -> np.ndarray:
     """Apply a transform; softmax normalizes over the last axis."""
     arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
+    if not _all_finite(arr):
         raise ValueError("transform input must be finite")
     if spec.kind == "softmax":
         z = spec.scale * arr

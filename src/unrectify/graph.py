@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping, Optional, Sequence
@@ -22,6 +23,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from . import elements as el
+from .basis import _all_finite
 
 __all__ = [
     "ROLE_INPUT",
@@ -140,6 +142,7 @@ class Dag:
     def closure(self, node_id: int) -> tuple[int, ...]:
         """The node and its ancestors in topological order, the node last:
         the nodes whose values fix the node's value."""
+        _require_node(self, node_id)  # before the cache, which takes 1.0 and True for 1
         if node_id not in self._closures:
             keep = ancestors(self, node_id) | {node_id}
             self._closures[node_id] = tuple(n for n in self.topo_order if n in keep)
@@ -404,7 +407,7 @@ def _evaluate(dag: Dag, xs, node_id: int, batch: bool, pres: Optional[dict] = No
         raise ValueError(f"batch must have shape (n, {dag.input_dim}), got {arr.shape}")
     if not batch and arr.shape != (dag.input_dim,):
         raise ValueError(f"input must have shape ({dag.input_dim},), got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not _all_finite(arr):
         raise ValueError("input entries must be finite")
     dag.require_valid()
 
@@ -555,12 +558,19 @@ def _reach(adjacent, start: int, end: str) -> set[int]:
     return seen
 
 
-def ancestors(dag: Dag, node_id: int) -> set[int]:
-    """All nodes with a path to ``node_id`` (excluding the node itself)."""
-    if not (0 <= node_id < len(dag.nodes)):
+def _require_node(dag: Dag, node_id) -> None:
+    """Reject anything but an integer (numpy's included) naming a node;
+    a bool or a float is no node id, even when it equals one."""
+    integral = isinstance(node_id, numbers.Integral) and not isinstance(node_id, bool)
+    if not (integral and 0 <= node_id < len(dag.nodes)):
         raise ValueError(
             f"node {node_id} does not exist; node ids run from 0 to {len(dag.nodes) - 1}"
         )
+
+
+def ancestors(dag: Dag, node_id: int) -> set[int]:
+    """All nodes with a path to ``node_id`` (excluding the node itself)."""
+    _require_node(dag, node_id)
     return _reach(dag.in_arcs, node_id, "src") - {node_id}
 
 

@@ -174,7 +174,7 @@ def _transform_from_dict(data: dict, where: str) -> TransformSpec:
     kind = _need(data, "kind", where)
     try:
         return TransformSpec(kind=kind, scale=float(data.get("lambda", 1.0)))
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise NetworkFormatError(f"{where}: {exc}") from None
 
 
@@ -239,6 +239,8 @@ def dag_from_dict(data: dict) -> Dag:
     if not isinstance(data, dict):
         raise NetworkFormatError("top level must be an object")
     input_dim = _int(_need(data, "input_dim", "top level"), "input_dim")
+    if input_dim < 1:
+        raise NetworkFormatError(f"input_dim: must be positive, got {input_dim}")
 
     raw_nodes = _need(data, "nodes", "top level")
     raw_arcs = _need(data, "arcs", "top level")

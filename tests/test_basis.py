@@ -19,7 +19,7 @@ from unrectify import (
     uniform_bound,
     unrectify,
 )
-from unrectify.basis import cpwl_slope_offset, pool_ids, pool_values
+from unrectify.basis import cpwl_piece_ids, cpwl_slope_offset, pool_ids, pool_values
 from unrectify.elements import Activation, Affine, Transform
 from unrectify.stability import _selection_columns
 
@@ -311,3 +311,132 @@ def test_near_selections_stay_on_the_dense_product():
         assert _selection_columns(elem.weight) is None
         for x in _selection_inputs(rng, 5):
             assert elem.pre_activation(x).tobytes() == (x @ w.T + elem.bias).tobytes()
+
+
+# The four activation kernels in their earlier form, one numpy reduction or
+# zero-started sum each: the kernels must keep these outputs to the bit.
+def _cpwl_eval_oracle(spec, x):
+    arr = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("activation input must be finite")
+    out = np.zeros_like(arr)
+    for coeff, knot in spec.right_pieces:
+        out += coeff * np.maximum(arr - knot, 0.0)
+    for coeff, knot in spec.left_pieces:
+        out += coeff * np.maximum(knot - arr, 0.0)
+    if np.isscalar(x) or np.ndim(x) == 0:
+        return float(out)
+    return out
+
+
+def _cpwl_piece_ids_oracle(spec, x):
+    arr = np.asarray(x, dtype=float)
+    ids = np.zeros(arr.shape, dtype=np.int64)
+    for k, (_, knot) in enumerate(spec.right_pieces):
+        ids |= (arr > knot).astype(np.int64) << k
+    shift = len(spec.right_pieces)
+    for k, (_, knot) in enumerate(spec.left_pieces):
+        ids |= (arr < knot).astype(np.int64) << (shift + k)
+    return ids
+
+
+def _pool_values_oracle(spec, x):
+    arr = np.asarray(x, dtype=float)
+    if not np.isfinite(arr).all():
+        raise ValueError("activation input must be finite")
+    blocks = arr.reshape(*arr.shape[:-1], arr.shape[-1] // spec.block, spec.block)
+    out = blocks.max(axis=-1)
+    if spec.rectified:
+        out = np.maximum(out, 0.0)
+    return out
+
+
+def _pool_ids_oracle(spec, x):
+    arr = np.asarray(x, dtype=float)
+    blocks = arr.reshape(*arr.shape[:-1], arr.shape[-1] // spec.block, spec.block)
+    sel = np.argmax(blocks, axis=-1).ravel()
+    ids = sel.astype(np.int64) + 1
+    if spec.rectified:
+        ids[~(blocks.reshape(-1, spec.block)[np.arange(len(sel)), sel] > 0.0)] = 0
+    return ids.reshape(blocks.shape[:-1])
+
+
+def _same_bits(got, want):
+    if isinstance(want, float):
+        assert type(got) is float and np.float64(got).tobytes() == np.float64(want).tobytes()
+    else:
+        assert isinstance(got, np.ndarray)
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+
+_ORACLE_SPECS = {
+    "relu": relu_spec(),
+    "abs": abs_spec(),
+    "leaky_relu": leaky_relu_spec(0.1),
+    "hard_tanh": hard_tanh_spec(),
+    "knots_away_from_0": CpwlSpec(right_pieces=((2.0, 0.5), (-0.5, -1.0))),
+    "negative_first_coefficient": CpwlSpec(right_pieces=((-1.0, 0.0), (2.0, 1.0))),
+    "zero_first_coefficient": CpwlSpec(right_pieces=((0.0, 0.0), (1.0, -1.0))),
+    "minus_0_coefficient": CpwlSpec(right_pieces=((-0.0, 1.0),)),
+    "minus_0_coefficient_then_left": CpwlSpec(right_pieces=((-0.0, 1.0),), left_pieces=((1.0, 2.0),)),
+    "knots_at_minus_0": CpwlSpec(right_pieces=((1.0, -0.0),), left_pieces=((-1.0, -0.0),)),
+    "left_only": CpwlSpec(left_pieces=((1.0, 0.0), (-0.5, 2.0))),
+    "left_only_negative": CpwlSpec(left_pieces=((-1.0, 0.0),)),
+}
+
+# signed zeros, knots (ties), subnormals, and ordinary values
+_ALPHABET = np.array([-0.0, 0.0, 0.5, 1.0, -1.0, 2.0, -2.0, 5e-324, -5e-324, 2e-308, -2e-308, 0.7, -3.1])
+
+
+def _oracle_inputs(rng, width):
+    x = rng.choice(_ALPHABET, size=(7, width))
+    return [
+        x,
+        x[:1],
+        x[3],
+        np.asfortranarray(x),
+        x[:, ::-1],  # a strided view
+        np.empty((0, width)),
+        np.asarray(x[2, 0]),  # 0-d
+    ] + [float(v) for v in _ALPHABET]  # Python scalars
+
+
+@pytest.mark.parametrize("name", _ORACLE_SPECS)
+def test_cpwl_kernels_keep_their_bits(name):
+    spec = _ORACLE_SPECS[name]
+    rng = np.random.default_rng(23)
+    for x in _oracle_inputs(rng, 12):
+        _same_bits(cpwl_eval(spec, x), _cpwl_eval_oracle(spec, x))
+        _same_bits(cpwl_piece_ids(spec, x), _cpwl_piece_ids_oracle(spec, x))
+
+
+@pytest.mark.parametrize("rectified", [True, False])
+@pytest.mark.parametrize("block", [2, 3, 4])
+def test_pool_kernels_keep_their_bits(rectified, block):
+    rng = np.random.default_rng(50 + block)
+    spec = PoolSpec(block=block, rectified=rectified)
+    for width in (block, 6 * block):
+        for x in _oracle_inputs(rng, width)[:6]:
+            _same_bits(pool_values(spec, x), _pool_values_oracle(spec, x))
+            _same_bits(pool_ids(spec, x), _pool_ids_oracle(spec, x))
+            # NaN entries, in some rows only: ids only, since values refuse them
+            y = np.array(x, copy=True)
+            y[::2][rng.random(y[::2].shape) < 0.4] = np.nan
+            _same_bits(pool_ids(spec, y), _pool_ids_oracle(spec, y))
+        # three axes
+        z = rng.choice(_ALPHABET, size=(2, 3, width))
+        _same_bits(pool_values(spec, z), _pool_values_oracle(spec, z))
+        _same_bits(pool_ids(spec, z), _pool_ids_oracle(spec, z))
+
+
+def test_cpwl_eval_takes_finite_input_near_overflow_without_warning():
+    x = np.array([[1e308, -1e308, 1.7e308], [-1.7e308, 0.0, -0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for spec in (relu_spec(), abs_spec(), leaky_relu_spec(0.1), hard_tanh_spec()):
+            _same_bits(cpwl_eval(spec, x), _cpwl_eval_oracle(spec, x))
+            _same_bits(cpwl_eval(spec, 1e308), _cpwl_eval_oracle(spec, 1e308))
+        assert cpwl_eval(relu_spec(), x).tolist() == [[1e308, 0.0, 1.7e308], [0.0, 0.0, 0.0]]
+        for bad in (np.inf, -np.inf, np.nan):
+            with pytest.raises(ValueError, match="^activation input must be finite$"):
+                cpwl_eval(relu_spec(), np.array([1e308, 1e308, bad]))

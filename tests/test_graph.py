@@ -141,6 +141,30 @@ def test_finite_overflowing_node_values_pass_without_warning():
                 forward_batch(net, np.array([x, 2 * x]))
 
 
+def test_cached_closure_is_not_read_for_a_float_or_bool_id():
+    net = series(identity_dag(2), Activation(relu_spec(), 2))
+    assert net.closure(1) == (0, 1)
+    for bad in (1.0, True, np.float64(1.0)):
+        with pytest.raises(ValueError, match=f"^node {bad} does not exist; node ids run from 0 to 1$"):
+            net.closure(bad)
+    assert net.closure(np.int64(1)) == (0, 1)
+
+
+def test_finite_inputs_near_overflow_pass_without_warning():
+    # the input check's sum of squares overflows, but every entry is finite
+    net = series(identity_dag(3), Activation(relu_spec(), 3))
+    x = np.array([1e308, -1.7e308, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out, _ = forward(net, x)
+        assert out.tolist() == [1e308, 0.0, 1.0]
+        batch, _ = forward_batch(net, np.array([x, -x]))
+        assert batch.tolist() == [[1e308, 0.0, 1.0], [0.0, 1.7e308, 0.0]]
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="^input entries must be finite$"):
+            forward(net, np.array([1e308, 1e308, bad]))
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_non_finite_arc_output_names_the_arc():
     g = identity_dag(2)

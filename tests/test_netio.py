@@ -288,6 +288,8 @@ def _ambiguous_sink(data):
         (_set(("output_node",), "q"), "output_node"),
         (_set(("nodes", 1, "concat_order"), ["z"]), r"nodes\[1\]\.concat_order"),
         (_set(("input_dim",), 2.9), "input_dim"),
+        (_set(("input_dim",), 0), r"^input_dim: must be positive, got 0$"),
+        (_set(("input_dim",), -2), r"^input_dim: must be positive, got -2$"),
         (_set(("nodes", 1, "id"), 1.7), r"nodes\[1\]\.id"),
         (_set(("arcs", 0, "dst"), True), r"arcs\[0\]\.dst"),
         (
@@ -324,6 +326,10 @@ def _ambiguous_sink(data):
             _set(("arcs", 0, "elem"), {"kind": "transform", "transform": {"kind": "softmax", "lambda": 0.0}}),
             r"arcs\[0\]\.elem\.transform: transform scale must be finite and positive",
         ),
+        (
+            _set(("arcs", 0, "elem"), {"kind": "transform", "transform": {"kind": "softmax", "lambda": [2]}}),
+            r"^arcs\[0\]\.elem\.transform: float\(\) argument",
+        ),
         (lambda data: [data], "top level must be an object"),
         (_set(("nodes",), {}), "nodes and arcs must be arrays"),
         (_set(("arcs",), "0->1"), "nodes and arcs must be arrays"),
@@ -340,7 +346,7 @@ def _ambiguous_sink(data):
     ids=[
         "node_entry", "node_id", "arc_src", "arc_elem",
         "labels", "label_value", "output_node", "concat_order",
-        "fractional_input_dim", "fractional_node_id", "boolean_arc_dst", "fractional_pool_block",
+        "fractional_input_dim", "zero_input_dim", "negative_input_dim", "fractional_node_id", "boolean_arc_dst", "fractional_pool_block",
         "sparse_fractional_index", "sparse_boolean_index", "sparse_string_index",
         "sparse_negative_index", "sparse_index_past_end", "sparse_repeated_index",
         "sparse_decreasing_index", "sparse_length_mismatch", "sparse_one_axis_shape",
@@ -349,7 +355,7 @@ def _ambiguous_sink(data):
         "node_without_role", "sparse_index_not_array", "sparse_values_not_array",
         "sparse_index_past_float", "sparse_non_numeric_values", "sparse_nested_values",
         "dense_one_axis_W", "unknown_pool_kind", "cpwl_piece_of_one_number",
-        "transform_lambda_not_positive", "top_level_not_object", "nodes_not_array",
+        "transform_lambda_not_positive", "transform_lambda_not_a_number", "top_level_not_object", "nodes_not_array",
         "arcs_not_array", "unknown_role", "concat_order_not_array", "node_ids_not_dense",
         "ambiguous_sink", "declared_out_dim", "declared_dims_of_a_weight",
     ],

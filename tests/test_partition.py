@@ -582,7 +582,7 @@ def test_count_regions_2d_rejects_empty_grid_arguments(name, value):
         count_regions_2d(relu_layer(2), **{name: value})
 
 
-@pytest.mark.parametrize("bad", [99, -1])
+@pytest.mark.parametrize("bad", [99, -1, 1.0, True])
 def test_unknown_node_ids_are_rejected(bad):
     net = relu_layer(2)
     xs = np.array([[1.0, -1.0], [-2.0, 3.0]])
