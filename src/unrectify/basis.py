@@ -257,8 +257,6 @@ def activation_bound(spec: CpwlSpec) -> float:
     can produce a distinct combination) is exhaustive.
     """
     knots = list(spec.breakpoints())
-    if not knots:
-        knots = [0.0]
     probes = list(knots)
     probes.append(knots[0] - 1.0)
     probes.append(knots[-1] + 1.0)

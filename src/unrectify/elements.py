@@ -22,6 +22,7 @@ from .basis import (
     ActivationLike,
     PoolSpec,
     TransformSpec,
+    _all_finite,
     activation_bound,
     cpwl_eval,
     pool_values,
@@ -48,7 +49,7 @@ def _matrix(value) -> np.ndarray:
     arr = np.array(value, dtype=float)
     if arr.ndim != 2 or 0 in arr.shape:
         raise ValueError(f"weight must be a non-empty 2-D matrix, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not _all_finite(arr):
         raise ValueError("weight entries must be finite")
     arr.setflags(write=False)
     return arr
@@ -58,7 +59,7 @@ def _vector(value, rows: int) -> np.ndarray:
     arr = np.array(value, dtype=float).reshape(-1)
     if arr.shape != (rows,):
         raise ValueError(f"bias must have length {rows}, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not _all_finite(arr):
         raise ValueError("bias entries must be finite")
     arr.setflags(write=False)
     return arr

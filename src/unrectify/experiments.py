@@ -92,8 +92,6 @@ class ExperimentConfig:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "1" if value else "0"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):

@@ -7,14 +7,15 @@ order, an add node sums them, and a duplicate node is a relay whose value
 fans out over several outgoing arcs.  Values, and anything else carried
 node by node, are computed by one walk, ``propagate``, over the ancestor
 closure of a node in topological order; a walk that wants only the node's
-value drops each value after its last reader.  Graphs are immutable once built; the
-combinators ``series``, ``concatenate``, and ``duplicate`` return new graphs
-and never mutate their arguments.
+value drops each value after its last reader.  ``Dag.closure`` is the one
+validity gate of the queries: every walk starts from it, so an invalid graph
+is refused with its validation report before any value is computed.  Graphs
+are immutable once built; the combinators ``series``, ``concatenate``, and
+``duplicate`` return new graphs and never mutate their arguments.
 """
 from __future__ import annotations
 
 import heapq
-import math
 import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -141,7 +142,10 @@ class Dag:
 
     def closure(self, node_id: int) -> tuple[int, ...]:
         """The node and its ancestors in topological order, the node last:
-        the nodes whose values fix the node's value."""
+        the nodes whose values fix the node's value.  An invalid graph is
+        refused here with its validation report, so every walk of a query
+        that starts from a closure checks the graph once."""
+        self.require_valid()
         _require_node(self, node_id)  # before the cache, which takes 1.0 and True for 1
         if node_id not in self._closures:
             keep = ancestors(self, node_id) | {node_id}
@@ -370,14 +374,9 @@ def propagate(dag: Dag, node_id: int, start, through_arc, release: bool = False)
             value = parts[0]
             for p in parts[1:]:
                 value = value + p
-        # the node's sum of squares is non-finite whenever one of its entries
-        # is (or when it overflows); only then are the arc outputs inspected.
-        # Order "K" reads the entries in memory order, so no layout is copied;
-        # vdot, unlike dot, raises no overflow warning on finite entries.
-        flat = value.ravel(order="K")
-        if not math.isfinite(np.vdot(flat, flat)):
+        if not _all_finite(value):
             for arc, part in zip(arcs, parts):
-                if not np.isfinite(part).all():
+                if not _all_finite(part):
                     raise ValueError(f"arc {arc.id} produced non-finite values")
         values[nid] = value
         if release:
@@ -409,7 +408,6 @@ def _evaluate(dag: Dag, xs, node_id: int, batch: bool, pres: Optional[dict] = No
         raise ValueError(f"input must have shape ({dag.input_dim},), got {arr.shape}")
     if not _all_finite(arr):
         raise ValueError("input entries must be finite")
-    dag.require_valid()
 
     def through_arc(arc, value):
         try:
@@ -581,7 +579,6 @@ def computable_subgraph(dag: Dag, node_id: int) -> Dag:
     result is itself a valid graph computing exactly the value this node
     takes in the full graph.
     """
-    dag.require_valid()
     b = GraphBuilder(dag.input_dim)
     node_map = b._insert(dag, set(dag.closure(node_id)))
     labels = {k: node_map[v] for k, v in dag.labels.items() if v in node_map}

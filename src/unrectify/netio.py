@@ -35,6 +35,12 @@ from .graph import Arc, Dag, Node, ROLE_RELAY, ROLES
 __all__ = ["NetworkFormatError", "dag_to_dict", "dag_from_dict", "save_network", "load_network"]
 
 
+# entries a sparse weight may declare: 1 GiB as float64.  Its dense array is
+# allocated from the declared shape alone, so a few bytes of file could
+# otherwise ask for terabytes.
+MAX_SPARSE_ENTRIES = 1 << 27
+
+
 class NetworkFormatError(ValueError):
     """Malformed network description file."""
 
@@ -106,6 +112,10 @@ def _sparse_from(data: dict, where: str) -> np.ndarray:
     m, n = (_int(v, f"{where}.shape") for v in shape)
     if m < 1 or n < 1:
         raise NetworkFormatError(f"{where}.shape: must be positive, got {[m, n]}")
+    if m * n > MAX_SPARSE_ENTRIES:
+        raise NetworkFormatError(
+            f"{where}.shape: {[m, n]} declares {m * n} entries, above the cap of {MAX_SPARSE_ENTRIES}"
+        )
     if not isinstance(index, list) or not isinstance(values, list):
         raise NetworkFormatError(f"{where}: index and values must be arrays")
     if len(index) != len(values):

@@ -18,8 +18,8 @@ into one int64 per sample, is kept in a table of the batch's trace, so all
 queries on one ``forward_batch`` trace derive each arc's patterns once.
 
 The single-input queries, ``region_code`` and ``affine_piece``, compute one
-pre-activation per arc: the evaluation walk hands each activation arc's
-pre-activation over, and the pattern is read from it.
+pre-activation per arc: the vector walk of ``forward`` hands each activation
+arc's pre-activation over, and the pattern is read from it.
 """
 from __future__ import annotations
 
@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .basis import PoolSpec, cpwl_piece_ids, cpwl_slope_offset, pool_ids
+from .basis import PoolSpec, _all_finite, cpwl_piece_ids, cpwl_slope_offset, pool_ids
 from .graph import Arc, Dag, Trace, _evaluate, propagate
 from . import stability
 
@@ -104,7 +104,6 @@ def _pattern_arcs(dag: Dag, node_id: int) -> list[Arc]:
     by the topological rank of the head node, then by arc id.  A smaller
     ancestor closure keeps the relative order, which is what keeps nested
     codes sub-sequences."""
-    dag.require_valid()
     arcs = (arc for nid in dag.closure(node_id) for arc in dag.in_arcs[nid])
     return [arc for arc in arcs if arc.elem.act is not None]
 
@@ -197,16 +196,14 @@ def _shared_regions(labels: np.ndarray) -> list[np.ndarray]:
 
 
 def region_code(dag: Dag, node_id: int, x) -> RegionCode:
-    """Region code of one input at one node, read from a one-row batch."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (dag.input_dim,):
-        raise ValueError(f"input must have shape ({dag.input_dim},), got {x.shape}")
-    arcs = _pattern_arcs(dag, node_id)
+    """Region code of one input at one node, read from the pre-activations
+    of the vector walk that ``forward`` and ``affine_piece`` take."""
     pres: dict = {}
-    _evaluate(dag, x[None], node_id, batch=True, pres=pres)
+    _evaluate(dag, x, node_id, batch=False, pres=pres)
+    arcs = _pattern_arcs(dag, node_id)
     # CPWL patterns carry one id per coordinate, pool patterns one per block;
     # both equal the arc's output dimension.
-    segments = tuple(tuple(_pattern(arc.elem.act, pres[arc.id])[0].tolist()) for arc in arcs)
+    segments = tuple(tuple(_pattern(arc.elem.act, pres[arc.id]).tolist()) for arc in arcs)
     return RegionCode(tuple(a.id for a in arcs), segments)
 
 
@@ -222,7 +219,6 @@ def affine_piece(dag: Dag, node_id: int, x) -> AffinePiece:
     alive instead of 82 MB.  Transforms are not piecewise-affine, so their
     presence in the sub-graph is an error.
     """
-    dag.require_valid()
     arc = _first_transform(dag, node_id)
     if arc is not None:
         raise NotPiecewiseAffineError(
@@ -310,7 +306,7 @@ def max_pairwise_distance(
     if pair_cap is not None and pair_cap < 1:
         raise ValueError(f"pair_cap must be at least 1, got {pair_cap}")
     pts = np.asarray(points, dtype=float)
-    if not np.all(np.isfinite(pts)):
+    if not _all_finite(pts):
         raise ValueError("points must be finite")
     if len(pts) < 2:
         return 0.0, False

@@ -33,6 +33,7 @@ from typing import Optional
 
 import numpy as np
 
+from .basis import _all_finite
 from .elements import element_bound, uniform_bound
 from .graph import Arc, Dag, forward_batch, levels
 
@@ -108,7 +109,7 @@ def spectral_norm(w) -> float:
     arr = np.asarray(w, dtype=float)
     if arr.ndim != 2:
         raise ValueError(f"spectral norm needs a matrix, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not _all_finite(arr):
         raise ValueError("matrix entries must be finite")
     if arr.size == 0:
         return 0.0
@@ -221,11 +222,10 @@ def certify(dag: Dag) -> StabilityReport:
     each arc's spectral norm is computed once and serves both.  Each arc
     counts its gain bound (``_arc_gains``): d, read from the elements, or
     max(d, 1) for an arc with no nonlinearity."""
-    dag.require_valid()
+    lvl, per_level = _arcs_by_level(dag)
     d, scale, share = _arc_gains(dag)
     spectral = _arc_norms(dag, "spectral")
     frob = _arc_norms(dag, "frobenius")
-    lvl, per_level = _arcs_by_level(dag)
     sums, c, stable_from = [], [1.0], None
     for n, arcs in enumerate(per_level[1:], start=1):
         # plain += in arc order, so the totals round alike on every Python
@@ -258,10 +258,9 @@ def rescale_to_stability(dag: Dag, use_frobenius: bool = False) -> Dag:
     contributions alone exceed the budget cannot be repaired and raises.
     Only linear parts change; biases are preserved.
     """
-    dag.require_valid()
+    _, per_level = _arcs_by_level(dag)
     _, scale, share = _arc_gains(dag)
     norms = _arc_norms(dag, "frobenius" if use_frobenius else "spectral")
-    _, per_level = _arcs_by_level(dag)
 
     factors: dict[int, float] = {}
     for n, arcs in enumerate(per_level[1:], start=1):
@@ -290,9 +289,7 @@ def rescale_to_stability(dag: Dag, use_frobenius: bool = False) -> Dag:
         replace(a, elem=replace(a.elem, weight=a.elem.weight * factors[a.id])) if a.id in factors else a
         for a in dag.arcs
     )
-    out = replace(dag, arcs=arcs, labels=dict(dag.labels))
-    out.require_valid()
-    return out
+    return replace(dag, arcs=arcs, labels=dict(dag.labels))
 
 
 def _level_value_matrices(dag: Dag, xs: np.ndarray) -> list[np.ndarray]:

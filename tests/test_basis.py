@@ -440,3 +440,18 @@ def test_cpwl_eval_takes_finite_input_near_overflow_without_warning():
         for bad in (np.inf, -np.inf, np.nan):
             with pytest.raises(ValueError, match="^activation input must be finite$"):
                 cpwl_eval(relu_spec(), np.array([1e308, 1e308, bad]))
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: unrectify(relu_spec(), np.array([1.0, np.nan])), "^activation input must be finite$"),
+        (lambda: maxlu2(np.ones(3)), r"^maxlu2 expects a 2-vector, got shape \(3,\)$"),
+        (lambda: CpwlSpec(right_pieces=tuple((1.0, float(k)) for k in range(63))), "^piece ids are packed into 62 bits$"),
+        (lambda: TransformSpec("relu"), "^unknown transform kind 'relu'$"),
+    ],
+    ids=["unrectify_nan", "maxlu2_three_vector", "cpwl_63_pieces", "transform_kind_relu"],
+)
+def test_basis_rejects_bad_inputs_and_specs(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()

@@ -391,3 +391,22 @@ def test_lenet5_pooling_matches_direct_2x2_maxlu():
                 assert list(horiz[r, s]) == [max(block[0].max(), 0.0), max(block[1].max(), 0.0)]
                 assert pooled[r, s] == max(block.max(), 0.0)
         planes = trace[dag.labels[f"stage{stage}.concat"]].reshape(n_out, half, half)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: build_series_stack([]), "^a series stack needs at least one layer$"),
+        (lambda: build_fusion_module([]), "^a fusion module needs at least one channel$"),
+        (lambda: build_fusion_stack([]), "^a fusion stack needs at least one layer$"),
+        (
+            lambda: build_fusion_module([np.ones((2, 3)), np.ones((3, 3))]),
+            "^default fusion weight needs equal channel dimensions; pass fuse_weight$",
+        ),
+        (lambda: build_fusion_stack([(np.eye(2), None, np.eye(2), None)], mode="wide"), "^unknown fusion stack mode 'wide'$"),
+    ],
+    ids=["empty_series_stack", "empty_fusion_module", "empty_fusion_stack", "unequal_channels_no_fuse_weight", "unknown_stack_mode"],
+)
+def test_builders_reject_empty_and_inconsistent_layers(make, message):
+    with pytest.raises(GraphConstructionError, match=message):
+        make()

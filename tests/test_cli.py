@@ -447,3 +447,34 @@ def test_lenet_partition_rejects_a_negative_subset_of_idx_images(tmp_path, capsy
     with pytest.raises(ValueError, match="subset must be at least 0, got -5"):
         run_lenet_partition(cfg, mnist_dir=str(data_dir), subset=-5)
     assert not out.exists()
+
+
+def _invalid_network(kind: str) -> dict:
+    """A 2-D network file with a cycle 1 -> 2 -> 1 behind the input, or an
+    acyclic one with a dead end at node 2."""
+    identity = {"kind": "identity"}
+    arcs = [(0, 1), (2, 1), (1, 2)] if kind == "cyclic" else [(0, 1), (0, 2)]
+    return {
+        "input_dim": 2,
+        "nodes": [{"id": 0, "role": "input"}, {"id": 1, "role": "relay"}, {"id": 2, "role": "relay"}],
+        "arcs": [{"src": s, "dst": d, "elem": identity, "in_dim": 2, "out_dim": 2} for s, d in arcs],
+        "output_node": 2 if kind == "cyclic" else 1,
+    }
+
+
+@pytest.mark.parametrize("kind, problem", [("cyclic", "cycle through nodes"), ("dead_end", "dead end")])
+@pytest.mark.parametrize("argv", [["certify"], ["eval", "--input", "1,-2"]], ids=["certify", "eval"])
+def test_queries_exit_2_with_the_report_of_an_invalid_file(tmp_path, capsys, argv, kind, problem):
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(_invalid_network(kind)))
+    assert main([argv[0], str(path), *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: invalid:") and problem in captured.err
+    assert captured.out == ""
+
+
+def test_an_unknown_experiment_is_refused():
+    from unrectify.experiments import ExperimentConfig
+
+    with pytest.raises(ValueError, match="^unknown experiment 'nope'$"):
+        ExperimentConfig("nope")

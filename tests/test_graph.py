@@ -9,8 +9,10 @@ from unrectify import (
     ActivationAffine,
     Affine,
     Dag,
+    GraphBuilder,
     GraphConstructionError,
     Identity,
+    InvalidGraphError,
     Linear,
     Node,
     PoolSpec,
@@ -21,15 +23,20 @@ from unrectify import (
     build_fusion_module,
     build_lenet5,
     build_series_stack,
+    certify,
+    check_refinement,
     computable_subgraph,
     concatenate,
+    count_regions_2d,
     duplicate,
     forward,
     forward_batch,
     identity_dag,
     levels,
+    partition_stats,
     region_code,
     relu_spec,
+    rescale_to_stability,
     series,
     validate,
 )
@@ -469,3 +476,74 @@ def test_released_walk_returns_the_full_walks_bits_at_every_node():
             assert list(released) == [node_id]
             assert released[node_id].tobytes() == full[node_id].tobytes()
             assert released[node_id].strides == full[node_id].strides
+
+
+def _cyclic_graph() -> Dag:
+    """Input 0 feeds node 1 of the cycle 1 -> 2 -> 3 -> 1; node 3 is the output."""
+    nodes = (Node(0, ROLE_INPUT), Node(1, ROLE_RELAY), Node(2, ROLE_RELAY), Node(3, ROLE_RELAY))
+    arcs = (
+        Arc(0, 0, 1, ActivationAffine(relu_spec(), np.eye(2))),
+        Arc(1, 1, 2, Identity(2)),
+        Arc(2, 3, 1, Identity(2)),
+        Arc(3, 2, 3, Identity(2)),
+    )
+    return Dag(2, nodes, arcs, 3)
+
+
+def _dead_end_graph() -> Dag:
+    """Acyclic, but node 2 leads nowhere: only the output may be a sink."""
+    nodes = (Node(0, ROLE_INPUT), Node(1, ROLE_RELAY), Node(2, ROLE_RELAY))
+    arcs = (Arc(0, 0, 1, ActivationAffine(relu_spec(), np.eye(2))), Arc(1, 0, 2, Identity(2)))
+    return Dag(2, nodes, arcs, 1)
+
+
+_X = np.array([0.5, -1.0])
+_XS = np.array([[0.5, -1.0], [1.0, 2.0], [-3.0, 0.25]])
+
+# every query that reads a graph, on its output node
+_GRAPH_QUERIES = {
+    "forward": lambda g: forward(g, _X),
+    "forward_batch": lambda g: forward_batch(g, _XS),
+    "region_code": lambda g: region_code(g, g.output_node, _X),
+    "affine_piece": lambda g: affine_piece(g, g.output_node, _X),
+    "partition_stats": lambda g: partition_stats(g, g.output_node, _XS),
+    "check_refinement": lambda g: check_refinement(g, g.output_node, 0, _XS),
+    "count_regions_2d": lambda g: count_regions_2d(g, grid_n=3),
+    "certify": certify,
+    "rescale_to_stability": rescale_to_stability,
+    "levels": levels,
+    "computable_subgraph": lambda g: computable_subgraph(g, g.output_node),
+}
+
+
+@pytest.mark.parametrize("query", list(_GRAPH_QUERIES), ids=list(_GRAPH_QUERIES))
+@pytest.mark.parametrize(
+    "graph, problem",
+    [(_cyclic_graph, "cycle through nodes"), (_dead_end_graph, "dead end")],
+    ids=["cyclic", "dead_end"],
+)
+def test_every_query_refuses_an_invalid_graph_with_its_report(query, graph, problem):
+    dag = graph()
+    with pytest.raises(InvalidGraphError, match="^invalid:") as info:
+        _GRAPH_QUERIES[query](dag)
+    assert problem in str(info.value)
+    assert str(info.value) == validate(dag).summary()
+
+
+def test_topological_order_of_a_cyclic_graph_is_refused():
+    # the order leaves out the nodes on and behind the cycle, so it is no order
+    with pytest.raises(InvalidGraphError, match="^graph contains a cycle$"):
+        _cyclic_graph().topo_order
+
+
+@pytest.mark.parametrize(
+    "make, error, message",
+    [
+        (lambda: forward_batch(identity_dag(3), np.ones(3)), ValueError, r"^batch must have shape \(n, 3\), got \(3,\)$"),
+        (lambda: GraphBuilder(0), GraphConstructionError, "^input dimension must be positive$"),
+    ],
+    ids=["batch_of_one_vector", "builder_of_no_input"],
+)
+def test_graph_rejects_a_bad_batch_shape_and_input_size(make, error, message):
+    with pytest.raises(error, match=message):
+        make()

@@ -54,3 +54,12 @@ def test_wrong_image_shape_rejected(tmp_path):
     lbl.write_bytes(struct.pack(">II", 0x00000801, 1) + bytes(1))
     with pytest.raises(IdxFormatError, match="28x28"):
         load_idx(img, lbl)
+
+
+def test_truncated_labels_report_offset(tmp_path):
+    img = tmp_path / "img"
+    img.write_bytes(struct.pack(">IIII", 0x00000803, 2, 28, 28) + bytes(2 * 784))
+    lbl = tmp_path / "lbl"
+    lbl.write_bytes(struct.pack(">II", 0x00000801, 2) + bytes(1))
+    with pytest.raises(IdxFormatError, match=r"truncated label data, file ends at offset 9 \(need 10\)$"):
+        load_idx(img, lbl)

@@ -516,3 +516,22 @@ def test_arc_element_rejects_conflicting_parts():
     ):
         with pytest.raises(ValueError, match=message):
             ArcElement(**parts)
+
+
+def test_a_sparse_shape_above_the_cap_is_refused_before_allocation(lenet5_file, tmp_path, capsys):
+    from unrectify.netio import MAX_SPARSE_ENTRIES
+
+    # the cap stays far above the largest weight the repo writes
+    lenet, _ = lenet5_file
+    assert 200 * max(arc.elem.weight.size for arc in lenet.arcs if arc.elem.weight is not None) < MAX_SPARSE_ENTRIES
+    # 2^40 entries: 8 TiB as float64, declared by a file of a few hundred bytes
+    data = _sparse_weight(shape=[1 << 20, 1 << 20])(_small_network())
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(data))
+    assert path.stat().st_size < 300
+    message = r"^arcs\[0\]\.elem\.W\.shape: \[1048576, 1048576\] declares 1099511627776 entries, above the cap of 134217728$"
+    with pytest.raises(NetworkFormatError, match=message):
+        load_network(path)
+    assert main(["validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "arcs[0].elem.W.shape" in err and "Traceback" not in err

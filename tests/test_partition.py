@@ -1136,3 +1136,36 @@ def test_released_affine_piece_keeps_the_full_walks_bits(monkeypatch):
             got = affine_piece(dag, node, x)
             for a, b in ((got.weight, w.weight), (got.bias, w.bias)):
                 assert (a.tobytes(), a.strides) == (b.tobytes(), b.strides)
+
+
+@pytest.mark.parametrize(
+    "query, outcome",
+    [
+        (lambda: partition_stats(identity_dag(2), 0, np.zeros((0, 2))), "^partition statistics need at least one sample$"),
+        (lambda: max_pairwise_distance(np.ones((1, 3))), (0.0, False)),
+    ],
+    ids=["stats_of_no_sample", "distance_of_one_point"],
+)
+def test_sample_sets_too_small_to_pair(query, outcome):
+    if isinstance(outcome, str):
+        with pytest.raises(ValueError, match=outcome):
+            query()
+    else:
+        assert query() == outcome
+
+
+def test_single_input_codes_give_the_batch_partition_on_lenet5():
+    # exact repeats and near-copies: images that must share a region, and
+    # images a walk's rounding could split
+    dag = build_lenet5(seed=0)
+    rng = np.random.default_rng(53)
+    protos = rng.uniform(0.0, 1.0, (8, 784))
+    images = np.vstack([protos, protos, protos + 1e-12 * rng.standard_normal((8, 784))])
+    _, trace = forward_batch(dag, images)
+    for node in (dag.labels["stage2.concat"], dag.labels["logits"]):
+        labels, count = _region_labels(dag, node, images, trace=trace)
+        codes = [region_code(dag, node, x) for x in images]
+        assert len(set(codes)) == count
+        same_code = np.array([[a == b for b in codes] for a in codes])
+        assert np.array_equal(same_code, labels[:, None] == labels[None, :])
+        assert all(codes[i] == codes[i + 8] for i in range(8))

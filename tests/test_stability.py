@@ -977,3 +977,8 @@ def test_selection_norms_are_exact_square_roots_of_column_multiplicity():
         w[0, (cols[0] + 1) % cols_n] = -0.0 if cols_n > 1 else 0.0
         if cols_n > 1:
             assert spectral_norm(w) >= svd_spectral_norm(w)
+
+
+@pytest.mark.parametrize("norm", [spectral_norm, svd_spectral_norm], ids=["spectral_norm", "svd_spectral_norm"])
+def test_spectral_norm_of_an_empty_matrix_is_zero(norm):
+    assert norm(np.zeros((0, 3))) == 0.0
