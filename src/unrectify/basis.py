@@ -22,7 +22,8 @@ The activation kernels run once per arc on every query, so each makes one
 finite test (a sum of squares, ``_all_finite``) and one numpy pass per CPWL
 piece or per pool column; none reduces over a short last axis.  Their
 outputs keep the bits of a sum started from +0.0 and of a max reduction,
-signed zeros included.
+signed zeros included.  ``activation_eval`` gives the values and the pattern
+ids from one call, a pool's from one fold; slopes are read from the id bits.
 """
 from __future__ import annotations
 
@@ -42,6 +43,7 @@ __all__ = [
     "cpwl_piece_ids",
     "cpwl_slope_offset",
     "unrectify",
+    "activation_eval",
     "activation_bound",
     "pool_values",
     "pool_ids",
@@ -223,17 +225,19 @@ def _sided_pieces(spec: CpwlSpec):
 
 def cpwl_slope_offset(spec: CpwlSpec, x) -> tuple[np.ndarray, np.ndarray]:
     """Per-coordinate affine piece (slope, offset) active at x."""
-    arr = np.asarray(x, dtype=float)
-    slope = np.zeros(arr.shape)
-    offset = np.zeros(arr.shape)
-    for coeff, knot in spec.right_pieces:
-        active = arr > knot
-        slope += coeff * active
-        offset -= coeff * knot * active
-    for coeff, knot in spec.left_pieces:
-        active = arr < knot
-        slope -= coeff * active
-        offset += coeff * knot * active
+    return _piece_slope_offset(spec, cpwl_piece_ids(spec, x))
+
+
+def _piece_slope_offset(spec: CpwlSpec, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(slope, offset) of the pieces whose bits ``ids`` set, one pass per
+    piece; adding a left piece's negated terms keeps the bits of subtracting."""
+    slope = np.zeros(ids.shape)
+    offset = np.zeros(ids.shape)
+    for k, (right, (coeff, knot)) in enumerate(_sided_pieces(spec)):
+        active = ids >> k & 1
+        signed = coeff if right else -coeff
+        slope += signed * active
+        offset -= signed * knot * active
     return slope, offset
 
 
@@ -242,8 +246,8 @@ def unrectify(spec: CpwlSpec, x) -> UnRectifyingPattern:
     arr = np.asarray(x, dtype=float)
     if not _all_finite(arr):
         raise ValueError("activation input must be finite")
-    slope, offset = cpwl_slope_offset(spec, arr)
     ids = cpwl_piece_ids(spec, arr)
+    slope, offset = _piece_slope_offset(spec, ids)
     for a in (slope, offset, ids):
         a.setflags(write=False)
     return UnRectifyingPattern(entries=slope, offsets=offset, piece_ids=ids)
@@ -266,35 +270,46 @@ def activation_bound(spec: CpwlSpec) -> float:
     return float(np.max(np.abs(slope)))
 
 
-def _pool_columns(spec: PoolSpec, arr: np.ndarray) -> list[np.ndarray]:
-    """Entry i of every block along the last axis, as strided views, for
-    i < block.  A reduction over a short last axis is slow in numpy; one
-    ufunc pass per column is not."""
+def _pool_fold(spec: PoolSpec, arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Blockwise max along the last axis and the selection code per block,
+    from one ufunc pass per block column, a strided view: a reduction over a
+    short last axis is slow in numpy.  A strict ``>`` against the running
+    max keeps the lowest index on a tie, and ``np.maximum`` returns its
+    second operand on a tie, as the max reduction does, so a signed zero
+    comes out as the reduction's did.  A rectified pool clamps at zero, and
+    its block is dead unless the block max is strictly positive."""
     if arr.shape[-1] % spec.block:
         raise ValueError(
             f"pool input length {arr.shape[-1]} is not a multiple of block {spec.block}"
         )
-    return [arr[..., i :: spec.block] for i in range(spec.block)]
+    cols = [arr[..., i :: spec.block] for i in range(spec.block)]
+    ids = np.add(cols[1] > cols[0], 1, dtype=np.int64)
+    best = np.maximum(cols[0], cols[1])
+    for i in range(2, spec.block):
+        np.putmask(ids, cols[i] > best, i + 1)
+        np.maximum(best, cols[i], out=best)
+    if spec.rectified:
+        ids *= best > 0.0
+        np.maximum(best, 0.0, out=best)
+    return best, ids
+
+
+def activation_eval(act: ActivationLike, x) -> tuple[np.ndarray, np.ndarray]:
+    """Values and pattern ids of the activation at x from one kernel call,
+    bit for bit those of ``cpwl_eval`` or ``pool_values`` and of
+    ``cpwl_piece_ids`` or ``pool_ids``; any non-finite entry is an error."""
+    if not isinstance(act, PoolSpec):
+        return cpwl_eval(act, x), cpwl_piece_ids(act, x)
+    arr = np.asarray(x, dtype=float)
+    if not _all_finite(arr):
+        raise ValueError("activation input must be finite")
+    return _pool_fold(act, arr)
 
 
 def pool_values(spec: PoolSpec, x) -> np.ndarray:
     """Blockwise max along the last axis; rectified pools clamp at zero.
-
-    One ``np.maximum`` pass per block column, in column order, then one for
-    the clamp.  ``np.maximum`` returns its second operand on a tie, as the
-    max reduction does, so a signed zero comes out as the reduction's did.
-    Any non-finite entry is an error, even one the max would drop.
-    """
-    arr = np.asarray(x, dtype=float)
-    if not _all_finite(arr):
-        raise ValueError("activation input must be finite")
-    cols = _pool_columns(spec, arr)
-    out = np.maximum(cols[0], cols[1])
-    for col in cols[2:]:
-        np.maximum(out, col, out=out)
-    if spec.rectified:
-        np.maximum(out, 0.0, out=out)
-    return out
+    Any non-finite entry is an error, even one the max would drop."""
+    return activation_eval(spec, x)[0]
 
 
 def pool_ids(spec: PoolSpec, x) -> np.ndarray:
@@ -304,24 +319,16 @@ def pool_ids(spec: PoolSpec, x) -> np.ndarray:
     maximum is strictly positive; plain max pools always select.  A NaN
     wins its block, the first NaN if there are more, and is not positive.
 
-    Each block column after the first is one strict ``>`` against the
-    running maximum, which keeps the lowest index on a tie, and one
-    ``np.maximum``, which keeps a NaN once it is met.  So a block with a
-    NaN is dead when rectified; only a plain pool then looks for its
-    first NaN, once some block holds one.
+    These are the codes of ``pool_values``' fold, with no finite test.  The
+    fold keeps a NaN once it is met, so a block with a NaN is dead when
+    rectified; only a plain pool then looks for its first NaN, once some
+    block holds one.
     """
     arr = np.asarray(x, dtype=float)
-    cols = _pool_columns(spec, arr)
-    ids = np.add(cols[1] > cols[0], 1, dtype=np.int64)
-    best = np.maximum(cols[0], cols[1])
-    for i in range(2, spec.block):
-        np.putmask(ids, cols[i] > best, i + 1)
-        np.maximum(best, cols[i], out=best)
-    if spec.rectified:
-        ids *= best > 0.0
-    elif math.isnan(np.vdot(best, best)):
+    best, ids = _pool_fold(spec, arr)
+    if not spec.rectified and math.isnan(np.vdot(best, best)):
         for i in reversed(range(spec.block)):
-            ids[np.isnan(cols[i])] = i + 1
+            ids[np.isnan(arr[..., i :: spec.block])] = i + 1
     return ids
 
 
@@ -337,9 +344,8 @@ def maxlu2(x) -> tuple[float, str]:
     arr = np.asarray(x, dtype=float)
     if arr.shape != (2,):
         raise ValueError(f"maxlu2 expects a 2-vector, got shape {arr.shape}")
-    spec = PoolSpec(block=2, rectified=True)
-    value = float(pool_values(spec, arr)[0])
-    return value, MAXLU2_SYMBOLS[int(pool_ids(spec, arr)[0])]
+    value, ids = activation_eval(PoolSpec(block=2, rectified=True), arr)
+    return float(value[0]), MAXLU2_SYMBOLS[int(ids[0])]
 
 
 def transform_eval(spec: TransformSpec, x) -> np.ndarray:

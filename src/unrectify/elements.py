@@ -7,9 +7,7 @@ transform (``spec``).  A weightless element states its dimension in
 activation, activation_affine, transform, transform_affine) are derived
 from which parts are present, and the functions named after them build
 elements.  Elements are immutable and apply to batches (leading axes are
-preserved, the last axis is the vector dimension).  ``apply`` is
-``pre_activation`` followed by ``activate``, so a walk that needs the
-pre-activation as well computes it once.
+preserved, the last axis is the vector dimension).
 """
 from __future__ import annotations
 
@@ -129,10 +127,8 @@ class ArcElement:
         return out if self.bias is None else out + self.bias
 
     def apply(self, values: np.ndarray) -> np.ndarray:
-        return self.activate(self.pre_activation(values))
-
-    def activate(self, pre: np.ndarray) -> np.ndarray:
-        """The element's nonlinearity applied to its pre-activation."""
+        """The element's output values alone, with no pattern ids."""
+        pre = self.pre_activation(values)
         if isinstance(self.act, PoolSpec):
             return pool_values(self.act, pre)
         if self.act is not None:

@@ -24,7 +24,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from . import elements as el
-from .basis import _all_finite
+from .basis import _all_finite, activation_eval
 
 __all__ = [
     "ROLE_INPUT",
@@ -352,7 +352,7 @@ def propagate(dag: Dag, node_id: int, start, through_arc, release: bool = False)
     values keep their features on the last axis.  A relay or duplicate node
     takes its one arc value, a concat node stacks its arc values in concat
     order and an add node sums them.  A non-finite node value raises an
-    error naming the arc that produced it.
+    error naming the arc that produced it, or the add node that overflowed.
 
     By default every value is kept, so the result is a whole trace.  With
     ``release`` a value is dropped as soon as the last arc that reads it
@@ -373,11 +373,13 @@ def propagate(dag: Dag, node_id: int, start, through_arc, release: bool = False)
         else:
             value = parts[0]
             for p in parts[1:]:
-                value = value + p
+                with np.errstate(over="ignore"):  # an overflowing sum is named below
+                    value = value + p
         if not _all_finite(value):
             for arc, part in zip(arcs, parts):
                 if not _all_finite(part):
                     raise ValueError(f"arc {arc.id} produced non-finite values")
+            raise ValueError(f"node {nid} produced non-finite values")
         values[nid] = value
         if release:
             for src in dead[pos]:
@@ -394,12 +396,12 @@ class Trace(dict):
         self.dag, self.codes = dag, {}
 
 
-def _evaluate(dag: Dag, xs, node_id: int, batch: bool, pres: Optional[dict] = None) -> Trace:
+def _evaluate(dag: Dag, xs, node_id: int, batch: bool, ids: Optional[dict] = None) -> Trace:
     """Values of the node's closure on one input, or on a batch of row inputs.
 
-    A given ``pres`` receives each activation arc's pre-activation by arc id,
-    computed once on the walk; batch traces pass none, so they keep no
-    per-arc arrays.
+    A given ``ids`` receives each activation arc's pattern ids by arc id,
+    from the kernel call that gives the arc's value; batch traces pass none,
+    so they keep no per-arc arrays.
     """
     arr = np.asarray(xs, dtype=float)
     if batch and (arr.ndim != 2 or arr.shape[1] != dag.input_dim):
@@ -411,10 +413,10 @@ def _evaluate(dag: Dag, xs, node_id: int, batch: bool, pres: Optional[dict] = No
 
     def through_arc(arc, value):
         try:
-            if pres is None or arc.elem.act is None:
+            if ids is None or arc.elem.act is None:
                 return arc.elem.apply(value)
-            pres[arc.id] = pre = arc.elem.pre_activation(value)
-            return arc.elem.activate(pre)
+            value, ids[arc.id] = activation_eval(arc.elem.act, arc.elem.pre_activation(value))
+            return value
         except ValueError as exc:  # a nonlinearity's non-finite input
             raise ValueError(f"arc {arc.id} {exc}") from None
 

@@ -17,9 +17,9 @@ lexicographic order of the codes.  An arc's code, its pattern block folded
 into one int64 per sample, is kept in a table of the batch's trace, so all
 queries on one ``forward_batch`` trace derive each arc's patterns once.
 
-The single-input queries, ``region_code`` and ``affine_piece``, compute one
-pre-activation per arc: the vector walk of ``forward`` hands each activation
-arc's pre-activation over, and the pattern is read from it.
+The single-input queries, ``region_code`` and ``affine_piece``, read the
+pattern ids that the vector walk of ``forward`` hands over, from the one
+kernel call per activation arc that gives the arc's value.
 """
 from __future__ import annotations
 
@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .basis import PoolSpec, _all_finite, cpwl_piece_ids, cpwl_slope_offset, pool_ids
+from .basis import PoolSpec, _all_finite, _piece_slope_offset, cpwl_piece_ids, pool_ids
 from .graph import Arc, Dag, Trace, _evaluate, propagate
 from . import stability
 
@@ -114,16 +114,10 @@ def _first_transform(dag: Dag, node_id: int) -> Optional[Arc]:
     return next((arc for arc in arcs if arc.elem.spec is not None), None)
 
 
-def _pattern(act, pre: np.ndarray) -> np.ndarray:
-    """Integer pattern ids of an activation at its pre-activation."""
-    if isinstance(act, PoolSpec):
-        return pool_ids(act, pre)
-    return cpwl_piece_ids(act, pre)
-
-
 def _arc_pattern(arc: Arc, src_values: np.ndarray) -> np.ndarray:
-    """Integer pattern ids for one activation arc, batch in rows."""
-    return _pattern(arc.elem.act, arc.elem.pre_activation(src_values))
+    """Integer pattern ids alone for one activation arc, batch in rows."""
+    act, pre = arc.elem.act, arc.elem.pre_activation(src_values)
+    return pool_ids(act, pre) if isinstance(act, PoolSpec) else cpwl_piece_ids(act, pre)
 
 
 def _fold(labels: np.ndarray, bound: int, col: np.ndarray, k: int) -> tuple[np.ndarray, int]:
@@ -196,14 +190,14 @@ def _shared_regions(labels: np.ndarray) -> list[np.ndarray]:
 
 
 def region_code(dag: Dag, node_id: int, x) -> RegionCode:
-    """Region code of one input at one node, read from the pre-activations
-    of the vector walk that ``forward`` and ``affine_piece`` take."""
-    pres: dict = {}
-    _evaluate(dag, x, node_id, batch=False, pres=pres)
+    """Region code of one input at one node, read from the pattern ids of
+    the vector walk that ``forward`` and ``affine_piece`` take."""
+    ids: dict = {}
+    _evaluate(dag, x, node_id, batch=False, ids=ids)
     arcs = _pattern_arcs(dag, node_id)
     # CPWL patterns carry one id per coordinate, pool patterns one per block;
     # both equal the arc's output dimension.
-    segments = tuple(tuple(_pattern(arc.elem.act, pres[arc.id]).tolist()) for arc in arcs)
+    segments = tuple(tuple(ids[arc.id].tolist()) for arc in arcs)
     return RegionCode(tuple(a.id for a in arcs), segments)
 
 
@@ -224,8 +218,8 @@ def affine_piece(dag: Dag, node_id: int, x) -> AffinePiece:
         raise NotPiecewiseAffineError(
             f"arc {arc.id} applies a transform; the function is not piecewise affine"
         )
-    pres: dict = {}
-    _evaluate(dag, x, node_id, batch=False, pres=pres)
+    ids: dict = {}
+    _evaluate(dag, x, node_id, batch=False, ids=ids)
 
     def through_arc(arc: Arc, m: np.ndarray) -> np.ndarray:
         elem = arc.elem
@@ -235,13 +229,13 @@ def affine_piece(dag: Dag, node_id: int, x) -> AffinePiece:
             if elem.bias is not None:
                 m[-1] += elem.bias
         if isinstance(elem.act, PoolSpec):
-            ids = pool_ids(elem.act, pres[arc.id])
-            picked = m[:, np.arange(len(ids)) * elem.act.block + ids - 1]
-            picked[:, ids == 0] = 0.0  # the gather is a fresh array
+            sel = ids[arc.id]
+            picked = m[:, np.arange(len(sel)) * elem.act.block + sel - 1]
+            picked[:, sel == 0] = 0.0  # the gather is a fresh array
             return picked
         if elem.act is None:
             return m
-        slope, offset = cpwl_slope_offset(elem.act, pres[arc.id])
+        slope, offset = _piece_slope_offset(elem.act, ids[arc.id])
         m = m * slope
         m[-1] += offset
         return m

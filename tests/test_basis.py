@@ -19,7 +19,7 @@ from unrectify import (
     uniform_bound,
     unrectify,
 )
-from unrectify.basis import cpwl_piece_ids, cpwl_slope_offset, pool_ids, pool_values
+from unrectify.basis import activation_eval, cpwl_piece_ids, cpwl_slope_offset, pool_ids, pool_values
 from unrectify.elements import Activation, Affine, Transform
 from unrectify.stability import _selection_columns
 
@@ -427,6 +427,86 @@ def test_pool_kernels_keep_their_bits(rectified, block):
         z = rng.choice(_ALPHABET, size=(2, 3, width))
         _same_bits(pool_values(spec, z), _pool_values_oracle(spec, z))
         _same_bits(pool_ids(spec, z), _pool_ids_oracle(spec, z))
+
+
+def _cpwl_slope_offset_oracle(spec, x):
+    """``cpwl_slope_offset`` as it compared x with every knot, before it
+    read the pieces from the id bits; kept as an oracle."""
+    arr = np.asarray(x, dtype=float)
+    slope = np.zeros(arr.shape)
+    offset = np.zeros(arr.shape)
+    for coeff, knot in spec.right_pieces:
+        active = arr > knot
+        slope += coeff * active
+        offset -= coeff * knot * active
+    for coeff, knot in spec.left_pieces:
+        active = arr < knot
+        slope -= coeff * active
+        offset += coeff * knot * active
+    return slope, offset
+
+
+def _wide_specs():
+    rng = np.random.default_rng(24)
+    coeffs = [-2.0, -0.5, -0.0, 0.0, 0.3, 1.0, 2.5]
+    knots = np.concatenate([_ALPHABET, np.linspace(-3.0, 3.0, 17)])
+    pieces = [(float(rng.choice(coeffs)), float(rng.choice(knots))) for _ in range(62)]
+    return {
+        "45_right": CpwlSpec(right_pieces=[(0.1, k) for k in np.linspace(-3.0, 3.0, 45)]),
+        "62_mixed": CpwlSpec(right_pieces=pieces[:31], left_pieces=pieces[31:]),
+        "62_left": CpwlSpec(left_pieces=pieces),
+    }
+
+
+@pytest.mark.parametrize("name", [*_ORACLE_SPECS, *_wide_specs()])
+def test_slopes_and_offsets_from_the_id_bits_keep_their_bits(name):
+    spec = {**_ORACLE_SPECS, **_wide_specs()}[name]
+    rng = np.random.default_rng(25)
+    for x in _oracle_inputs(rng, 12):
+        slope, offset = _cpwl_slope_offset_oracle(spec, x)
+        got = cpwl_slope_offset(spec, x)
+        _same_bits(got[0], slope)
+        _same_bits(got[1], offset)
+        pattern = unrectify(spec, x)
+        _same_bits(pattern.entries, slope)
+        _same_bits(pattern.offsets, offset)
+        _same_bits(pattern.piece_ids, _cpwl_piece_ids_oracle(spec, x))
+    # cpwl_slope_offset tests nothing for finiteness: NaN sits on no piece
+    y = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0])
+    for got, want in zip(cpwl_slope_offset(spec, y), _cpwl_slope_offset_oracle(spec, y)):
+        _same_bits(got, want)
+
+
+@pytest.mark.parametrize("name", [*_ORACLE_SPECS, *_wide_specs()])
+def test_activation_eval_gives_the_cpwl_oracles_bits(name):
+    spec = {**_ORACLE_SPECS, **_wide_specs()}[name]
+    rng = np.random.default_rng(26)
+    for x in _oracle_inputs(rng, 12):
+        values, ids = activation_eval(spec, x)
+        _same_bits(values, _cpwl_eval_oracle(spec, x))
+        _same_bits(ids, _cpwl_piece_ids_oracle(spec, x))
+
+
+@pytest.mark.parametrize("rectified", [True, False])
+@pytest.mark.parametrize("block", [2, 3, 4])
+def test_activation_eval_gives_the_pool_oracles_bits(rectified, block):
+    rng = np.random.default_rng(60 + block)
+    spec = PoolSpec(block=block, rectified=rectified)
+    # blocks of signed zeros only: a tie the fold must break as the max reduction does
+    zeros = rng.choice([-0.0, 0.0], size=(64, 4 * block))
+    for width in (block, 6 * block):
+        for x in _oracle_inputs(rng, width)[:6] + [zeros, zeros[:, ::-1], rng.choice(_ALPHABET, (2, 3, width))]:
+            values, ids = activation_eval(spec, x)
+            _same_bits(values, _pool_values_oracle(spec, x))
+            _same_bits(ids, _pool_ids_oracle(spec, x))
+    assert np.signbit(activation_eval(spec, zeros)[0]).any() != rectified
+
+
+def test_activation_eval_refuses_non_finite_input():
+    for act in (relu_spec(), PoolSpec(2), PoolSpec(3, rectified=False)):
+        for bad in (np.inf, -np.inf, np.nan):
+            with pytest.raises(ValueError, match="^activation input must be finite$"):
+                activation_eval(act, np.array([1.0, 2.0, bad, 0.0, 1.0, 3.0]))
 
 
 def test_cpwl_eval_takes_finite_input_near_overflow_without_warning():

@@ -6,6 +6,7 @@ import pytest
 from unrectify import (
     build_demo_network,
     build_fusion_module,
+    build_fusion_stack,
     build_series_stack,
     certify,
     conv2d_affine,
@@ -85,6 +86,16 @@ def test_eval_prints_the_bits_of_the_in_memory_lenet5(lenet5_file, capsys):
 
 def test_eval_bad_input_vector(demo_file, capsys):
     assert main(["eval", demo_file, "--input", "a,b,c"]) == 2
+
+
+def test_eval_exits_2_when_an_add_node_overflows(tmp_path, capsys):
+    path = tmp_path / "overflow.json"
+    big = 1e308 * np.eye(1)
+    save_network(build_fusion_stack([(big, None, big, None)], mode="compact"), path)
+    assert main(["eval", str(path), "--input", "1"]) == 2
+    assert capsys.readouterr().err == "error: node 1 produced non-finite values\n"
+    assert main(["eval", str(path), "--input", "0.5"]) == 0
+    assert capsys.readouterr().out.strip() == "%.17g" % 1e308
 
 
 def test_certify_exit_codes(tmp_path, capsys):

@@ -21,6 +21,7 @@ from unrectify import (
     affine_piece,
     build_demo_network,
     build_fusion_module,
+    build_fusion_stack,
     build_lenet5,
     build_series_stack,
     certify,
@@ -146,6 +147,23 @@ def test_finite_overflowing_node_values_pass_without_warning():
                 forward(net, x)
             with pytest.raises(ValueError, match="^arc 1 produced non-finite values$"):
                 forward_batch(net, np.array([x, 2 * x]))
+
+
+def test_add_node_whose_finite_arc_values_overflow_names_the_node():
+    # both arc outputs are finite, 1e308 each; their sum overflows at the add
+    # node, which is named, and numpy's overflow warning is not raised
+    big = 1e308 * np.eye(1)
+    for mode, node in (("probe", 3), ("compact", 1)):
+        dag = build_fusion_stack([(big, None, big, None)], mode=mode)
+        for run in (
+            lambda: forward(dag, [1.0]),
+            lambda: forward_batch(dag, [[0.5], [1.0]]),
+            lambda: region_code(dag, dag.output_node, [1.0]),
+            lambda: affine_piece(dag, dag.output_node, [1.0]),
+        ):
+            with pytest.raises(ValueError, match=f"^node {node} produced non-finite values$"):
+                run()
+        assert forward(dag, [0.5])[0].tolist() == [1e308]
 
 
 def test_cached_closure_is_not_read_for_a_float_or_bool_id():

@@ -25,6 +25,7 @@ from unrectify import (
     build_lenet5,
     build_series_stack,
     check_refinement,
+    concatenate,
     computable_subgraph,
     count_regions_2d,
     forward,
@@ -872,6 +873,28 @@ def test_lenet5_queries_compute_one_pre_activation_per_arc(monkeypatch):
     arcs = _closure_arcs(dag, dag.output_node)
     assert len(calls) == len(arcs) == len(dag.arcs)
     assert {id(e) for e in calls} == {id(arc.elem) for arc in arcs}
+
+
+def test_region_codes_equal_the_batch_patterns_through_plain_pools_and_wide_cpwls():
+    # the single-input walk's ids against the batch path's ids-only derivation,
+    # on plain block-3 pools whose blocks tie (signed zeros among them) and a
+    # 45-piece CPWL arc whose pre-activations sit on its knots
+    rng = np.random.default_rng(40)
+    many_knots = CpwlSpec(right_pieces=[(0.1, k) for k in np.linspace(-3.0, 3.0, 45)])
+    plain = series(identity_dag(6), Activation(PoolSpec(3, rectified=False), 6))
+    plain = series(plain, ActivationAffine(many_knots, rng.integers(-2, 3, (3, 2)).astype(float)))
+    mixed = series(identity_dag(6), ActivationAffine(PoolSpec(3, rectified=False), rng.integers(-1, 2, (9, 6)).astype(float)))
+    mixed = series(mixed, ActivationAffine(PoolSpec(3), rng.integers(-1, 2, (6, 3)).astype(float)))
+    dag = concatenate([plain, mixed])
+    xs = rng.choice([-0.0, 0.0, 0.5, -0.5, 1.0, -1.0, 2.0], size=(60, 6))
+    _, trace = forward_batch(dag, xs)
+    for node in range(len(dag.nodes)):
+        arcs = _pattern_arcs(dag, node)
+        patterns = [_arc_pattern(arc, trace[arc.src]) for arc in arcs]
+        for i, x in enumerate(xs):
+            code = region_code(dag, node, x)
+            assert code.arc_ids == tuple(arc.id for arc in arcs)
+            assert code.segments == tuple(tuple(p[i].tolist()) for p in patterns)
 
 
 def test_affine_piece_computes_one_pre_activation_per_arc(monkeypatch):
