@@ -24,6 +24,8 @@ piece or per pool column; none reduces over a short last axis.  Their
 outputs keep the bits of a sum started from +0.0 and of a max reduction,
 signed zeros included.  ``activation_eval`` gives the values and the pattern
 ids from one call, a pool's from one fold; slopes are read from the id bits.
+A batch's ids fold into one int64 code per row, ``_pattern_code``, whose
+order is the lexicographic order of the id rows: the one code format.
 """
 from __future__ import annotations
 
@@ -330,6 +332,35 @@ def pool_ids(spec: PoolSpec, x) -> np.ndarray:
         for i in reversed(range(spec.block)):
             ids[np.isnan(arr[..., i :: spec.block])] = i + 1
     return ids
+
+
+def _fold(labels: np.ndarray, bound: int, col: np.ndarray, k: int) -> tuple[np.ndarray, int]:
+    """``labels * k + col`` and its bound, for labels below ``bound`` and a
+    column below k.  Before a product could pass 2^62 the labels, then if
+    need be the column, are renumbered densely, which keeps their order."""
+    if bound * k > 1 << 62:
+        values, labels = np.unique(labels, return_inverse=True)
+        bound = len(values)
+        if bound * k > 1 << 62:
+            values, col = np.unique(col, return_inverse=True)
+            k = len(values)
+    return labels * k + col, bound * k
+
+
+def _pattern_code(act: ActivationLike, ids: np.ndarray) -> tuple[np.ndarray, int]:
+    """The pattern rows ``ids`` (batch in rows) as one code per row in their
+    lexicographic order, and a bound above every code.  Ids are below a
+    radix (``block + 1`` for a pool, 2^pieces for a CPWL bitmask); each run
+    of columns whose radix product fits in 2^62 is one matmul with their
+    place values, and the runs go through ``_fold``."""
+    radix = act.block + 1 if isinstance(act, PoolSpec) else 1 << act.piece_count
+    width = 62 // (radix - 1).bit_length()  # radix ** width <= 2^62
+    place = radix ** np.arange(width - 1, -1, -1)
+    code, bound = np.zeros(len(ids), dtype=np.int64), 1
+    for start in range(0, ids.shape[1], width):
+        run = ids[:, start : start + width]
+        code, bound = _fold(code, bound, run @ place[-run.shape[1] :], radix ** run.shape[1])
+    return code, bound
 
 
 MAXLU2_SYMBOLS = {0: "dead", 1: "sel_left", 2: "sel_right"}

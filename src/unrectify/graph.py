@@ -24,7 +24,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from . import elements as el
-from .basis import _all_finite, activation_eval
+from .basis import _all_finite, _pattern_code, activation_eval
 
 __all__ = [
     "ROLE_INPUT",
@@ -345,14 +345,17 @@ def _ordered_in_arcs(dag: Dag, node: Node) -> tuple[Arc, ...]:
     return dag.in_arcs[node.id]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite value is named below
 def propagate(dag: Dag, node_id: int, start, through_arc, release: bool = False) -> dict:
     """Values over the node's closure, by induction from the input's ``start``.
 
     Each arc maps its source node's value by ``through_arc(arc, value)``;
     values keep their features on the last axis.  A relay or duplicate node
     takes its one arc value, a concat node stacks its arc values in concat
-    order and an add node sums them.  A non-finite node value raises an
-    error naming the arc that produced it, or the add node that overflowed.
+    order and an add node sums them.  The walk runs under one numpy error
+    state that ignores overflow and invalid results, so a finite input that
+    overflows warns nothing: a non-finite node value raises an error naming
+    the arc that produced it, or the add node that overflowed.
 
     By default every value is kept, so the result is a whole trace.  With
     ``release`` a value is dropped as soon as the last arc that reads it
@@ -373,8 +376,7 @@ def propagate(dag: Dag, node_id: int, start, through_arc, release: bool = False)
         else:
             value = parts[0]
             for p in parts[1:]:
-                with np.errstate(over="ignore"):  # an overflowing sum is named below
-                    value = value + p
+                value = value + p
         if not _all_finite(value):
             for arc, part in zip(arcs, parts):
                 if not _all_finite(part):
@@ -388,21 +390,19 @@ def propagate(dag: Dag, node_id: int, start, through_arc, release: bool = False)
 
 
 class Trace(dict):
-    """Node values of one evaluation by node id, with their graph and a
-    table from arc id to pattern code that the partition queries fill."""
+    """Node values of one evaluation by node id, with their graph and each
+    activation arc's pattern by arc id, from the kernel call that gave the
+    arc's value: its ids for one input, its ``basis._pattern_code`` (one
+    int64 per row and a bound) for a batch."""
 
-    def __init__(self, dag: Dag, values: dict):
+    def __init__(self, dag: Dag, values: dict, patterns: dict):
         super().__init__(values)
-        self.dag, self.codes = dag, {}
+        self.dag, self.patterns = dag, patterns
 
 
-def _evaluate(dag: Dag, xs, node_id: int, batch: bool, ids: Optional[dict] = None) -> Trace:
-    """Values of the node's closure on one input, or on a batch of row inputs.
-
-    A given ``ids`` receives each activation arc's pattern ids by arc id,
-    from the kernel call that gives the arc's value; batch traces pass none,
-    so they keep no per-arc arrays.
-    """
+def _evaluate(dag: Dag, xs, node_id: int, batch: bool) -> Trace:
+    """Values and activation patterns of the node's closure on one input,
+    or on a batch of row inputs."""
     arr = np.asarray(xs, dtype=float)
     if batch and (arr.ndim != 2 or arr.shape[1] != dag.input_dim):
         raise ValueError(f"batch must have shape (n, {dag.input_dim}), got {arr.shape}")
@@ -410,17 +410,20 @@ def _evaluate(dag: Dag, xs, node_id: int, batch: bool, ids: Optional[dict] = Non
         raise ValueError(f"input must have shape ({dag.input_dim},), got {arr.shape}")
     if not _all_finite(arr):
         raise ValueError("input entries must be finite")
+    patterns: dict = {}
 
     def through_arc(arc, value):
+        act = arc.elem.act
         try:
-            if ids is None or arc.elem.act is None:
+            if act is None:
                 return arc.elem.apply(value)
-            value, ids[arc.id] = activation_eval(arc.elem.act, arc.elem.pre_activation(value))
-            return value
+            value, ids = activation_eval(act, arc.elem.pre_activation(value))
         except ValueError as exc:  # a nonlinearity's non-finite input
             raise ValueError(f"arc {arc.id} {exc}") from None
+        patterns[arc.id] = _pattern_code(act, ids) if batch else ids
+        return value
 
-    return Trace(dag, propagate(dag, node_id, arr, through_arc))
+    return Trace(dag, propagate(dag, node_id, arr, through_arc), patterns)
 
 
 def forward(dag: Dag, x) -> tuple[np.ndarray, Trace]:

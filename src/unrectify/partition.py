@@ -10,16 +10,15 @@ lattice cells whose corners carry different codes, over the whole lattice at
 once in batches of ``_CELL_BATCH`` cells; ``partition_stats`` pools regions
 under ``DIRECT_ENTRIES``.
 
-A batch of samples is labelled by one primitive, ``_region_labels``: it folds
-the codes of the node's activation arcs, in code order, into one dense integer
-label per sample, so equal labels mean equal codes and label order is the
-lexicographic order of the codes.  An arc's code, its pattern block folded
-into one int64 per sample, is kept in a table of the batch's trace, so all
-queries on one ``forward_batch`` trace derive each arc's patterns once.
-
-The single-input queries, ``region_code`` and ``affine_piece``, read the
-pattern ids that the vector walk of ``forward`` hands over, from the one
-kernel call per activation arc that gives the arc's value.
+Every walk keeps each activation arc's pattern from the one kernel call
+that gives the arc's value (``graph.Trace.patterns``).  A batch of samples
+is labelled by one primitive, ``_region_labels``: it folds the codes that
+the batch's trace holds for the node's activation arcs, in code order, into
+one dense integer label per sample, so equal labels mean equal codes and
+label order is the lexicographic order of the codes.  So every query on one
+``forward_batch`` trace reads patterns that the walk derived once.  The
+single-input queries, ``region_code`` and ``affine_piece``, read the
+pattern ids of the vector walk that ``forward`` takes.
 """
 from __future__ import annotations
 
@@ -29,7 +28,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .basis import PoolSpec, _all_finite, _piece_slope_offset, cpwl_piece_ids, pool_ids
+from .basis import PoolSpec, _all_finite, _fold, _piece_slope_offset
 from .graph import Arc, Dag, Trace, _evaluate, propagate
 from . import stability
 
@@ -114,56 +113,17 @@ def _first_transform(dag: Dag, node_id: int) -> Optional[Arc]:
     return next((arc for arc in arcs if arc.elem.spec is not None), None)
 
 
-def _arc_pattern(arc: Arc, src_values: np.ndarray) -> np.ndarray:
-    """Integer pattern ids alone for one activation arc, batch in rows."""
-    act, pre = arc.elem.act, arc.elem.pre_activation(src_values)
-    return pool_ids(act, pre) if isinstance(act, PoolSpec) else cpwl_piece_ids(act, pre)
-
-
-def _fold(labels: np.ndarray, bound: int, col: np.ndarray, k: int) -> tuple[np.ndarray, int]:
-    """``labels * k + col`` and its bound, for labels below ``bound`` and a
-    column below k.  Before a product could pass 2^62 the labels, then if
-    need be the column, are renumbered densely, which keeps their order."""
-    if bound * k > 1 << 62:
-        values, labels = np.unique(labels, return_inverse=True)
-        bound = len(values)
-        if bound * k > 1 << 62:
-            values, col = np.unique(col, return_inverse=True)
-            k = len(values)
-    return labels * k + col, bound * k
-
-
-def _arc_code(trace: Trace, arc: Arc) -> tuple[np.ndarray, int]:
-    """The arc's pattern rows as one code per sample in their lexicographic
-    order, and a bound above every code, derived once per trace.  Ids are
-    below a radix (``block + 1`` for a pool, 2^pieces for a CPWL bitmask);
-    each run of columns whose radix product fits in 2^62 is one matmul with
-    their place values, and the runs go through ``_fold``.
-    """
-    if arc.id not in trace.codes:
-        act = arc.elem.act
-        radix = act.block + 1 if isinstance(act, PoolSpec) else 1 << act.piece_count
-        width = 62 // (radix - 1).bit_length()  # radix ** width <= 2^62
-        place = radix ** np.arange(width - 1, -1, -1)
-        pattern = _arc_pattern(arc, trace[arc.src])
-        code, bound = np.zeros(len(pattern), dtype=np.int64), 1
-        for start in range(0, pattern.shape[1], width):
-            run = pattern[:, start : start + width]
-            code, bound = _fold(code, bound, run @ place[-run.shape[1] :], radix ** run.shape[1])
-        trace.codes[arc.id] = code, bound
-    return trace.codes[arc.id]
-
-
 def _region_labels(
     dag: Dag, node_id: int, xs: np.ndarray, trace: Optional[Trace] = None
 ) -> tuple[np.ndarray, int]:
     """Dense region label per sample and the number of distinct regions.
 
-    Folds the node's arc codes (``_arc_code``, kept in the trace's table) in
-    code order as ``labels * k + code`` and renumbers densely at the end, so
-    label order is the lexicographic order of the codes.  A given ``trace``
-    must be the one ``forward_batch(dag, xs)`` returned: one of another graph
-    is refused, and its input values are compared with ``xs``.
+    Folds the codes of the node's activation arcs that the batch trace
+    holds, in code order, as ``labels * k + code`` and renumbers densely at
+    the end, so label order is the lexicographic order of the codes.  A
+    given ``trace`` must be the one ``forward_batch(dag, xs)`` returned: one
+    of another graph is refused, its input values are compared with ``xs``,
+    and one of a single input is refused.
     """
     arcs = _pattern_arcs(dag, node_id)
     if trace is None:
@@ -172,9 +132,11 @@ def _region_labels(
         raise ValueError("the trace belongs to another graph")
     elif not np.array_equal(trace.get(0), xs):
         raise ValueError("the trace belongs to other samples: its input values differ")
+    elif xs.ndim != 2:
+        raise ValueError(f"batch must have shape (n, {dag.input_dim}), got {xs.shape}")
     labels, bound = np.zeros(len(xs), dtype=np.int64), 1
     for arc in arcs:
-        labels, bound = _fold(labels, bound, *_arc_code(trace, arc))
+        labels, bound = _fold(labels, bound, *trace.patterns[arc.id])
     values, labels = np.unique(labels, return_inverse=True)
     return labels, len(values)
 
@@ -192,8 +154,7 @@ def _shared_regions(labels: np.ndarray) -> list[np.ndarray]:
 def region_code(dag: Dag, node_id: int, x) -> RegionCode:
     """Region code of one input at one node, read from the pattern ids of
     the vector walk that ``forward`` and ``affine_piece`` take."""
-    ids: dict = {}
-    _evaluate(dag, x, node_id, batch=False, ids=ids)
+    ids = _evaluate(dag, x, node_id, batch=False).patterns
     arcs = _pattern_arcs(dag, node_id)
     # CPWL patterns carry one id per coordinate, pool patterns one per block;
     # both equal the arc's output dimension.
@@ -218,8 +179,7 @@ def affine_piece(dag: Dag, node_id: int, x) -> AffinePiece:
         raise NotPiecewiseAffineError(
             f"arc {arc.id} applies a transform; the function is not piecewise affine"
         )
-    ids: dict = {}
-    _evaluate(dag, x, node_id, batch=False, ids=ids)
+    ids = _evaluate(dag, x, node_id, batch=False).patterns
 
     def through_arc(arc: Arc, m: np.ndarray) -> np.ndarray:
         elem = arc.elem
@@ -254,8 +214,8 @@ def check_refinement(
     """Verify that equal codes at the fine node imply equal codes at the
     coarse node over all sample pairs.  The coarse node must belong to the
     fine node's computable sub-graph.  A given ``trace`` must be the one
-    ``forward_batch(dag, samples)`` returned; the arc codes in its table are
-    shared with every other query on it."""
+    ``forward_batch(dag, samples)`` returned; every query on it reads the
+    arc codes that its walk kept."""
     xs = np.asarray(samples, dtype=float)
     if coarse_node not in dag.closure(fine_node):
         raise ValueError(
@@ -325,8 +285,8 @@ def partition_stats(
     a screen, are pooled into one chunked gather of the same exact form,
     which gives the same maximum bit for bit; each other group keeps its
     own call.  A given ``trace`` must be the one
-    ``forward_batch(dag, samples)`` returned; the arc codes in its table are
-    shared with every other query on it.
+    ``forward_batch(dag, samples)`` returned; every query on it reads the
+    arc codes that its walk kept.
     """
     xs = np.asarray(samples, dtype=float)
     if len(xs) == 0:

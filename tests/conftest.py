@@ -6,6 +6,7 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from unrectify import (
     Activation,
@@ -24,6 +25,11 @@ from unrectify import (
     series,
     stability,
 )
+
+# the property tests draw the same examples on every run, so a failure
+# reproduces; each test's own settings keep its max_examples
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 def cpwl_reference(spec: CpwlSpec, x: float) -> float:

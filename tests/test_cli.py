@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from unrectify import (
+    Affine,
     build_demo_network,
     build_fusion_module,
     build_fusion_stack,
@@ -11,8 +12,10 @@ from unrectify import (
     certify,
     conv2d_affine,
     forward,
+    identity_dag,
     rescale_to_stability,
     save_network,
+    series,
     svd_spectral_norm,
 )
 from unrectify.cli import main
@@ -86,6 +89,14 @@ def test_eval_prints_the_bits_of_the_in_memory_lenet5(lenet5_file, capsys):
 
 def test_eval_bad_input_vector(demo_file, capsys):
     assert main(["eval", demo_file, "--input", "a,b,c"]) == 2
+
+
+def test_eval_exits_2_when_an_arc_overflows(tmp_path, capsys):
+    # run with RuntimeWarning as an error, as the suite is: no warning escapes
+    path = tmp_path / "overflow.json"
+    save_network(series(identity_dag(1), Affine([[1e200]])), path)
+    assert main(["eval", str(path), "--input", "1e200"]) == 2
+    assert capsys.readouterr().err == "error: arc 0 produced non-finite values\n"
 
 
 def test_eval_exits_2_when_an_add_node_overflows(tmp_path, capsys):

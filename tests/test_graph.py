@@ -138,11 +138,11 @@ def test_finite_overflowing_node_values_pass_without_warning():
         batch, _ = forward_batch(g, np.array([x, 2 * x]))
         assert batch.tolist() == [[1e160, -2e160], [2e160, -4e160]]
     # a non-finite node value is still refused, naming its arc: +inf, then
-    # -inf; the products themselves warn, as numpy does on overflow
+    # -inf; the walk's error state keeps the overflowing products quiet
     for sign in (1.0, -1.0):
         net = series(g, Affine(sign * 1e160 * np.eye(2)))
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+            warnings.simplefilter("error")
             with pytest.raises(ValueError, match="^arc 1 produced non-finite values$"):
                 forward(net, x)
             with pytest.raises(ValueError, match="^arc 1 produced non-finite values$"):
@@ -190,7 +190,27 @@ def test_finite_inputs_near_overflow_pass_without_warning():
             forward(net, np.array([1e308, 1e308, bad]))
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_arc_whose_finite_input_overflows_names_the_arc_without_warning():
+    # the product overflows to inf, or to inf - inf = nan; the walk's error
+    # state keeps numpy quiet, and the finite tests name the arc
+    for weight, x in (([[1e200]], [1e200]), ([[1e200, -1e200]], [1e200, 1e200])):
+        for elem, message in (
+            (Affine(weight), "arc 0 produced non-finite values"),
+            (ActivationAffine(relu_spec(), weight), "arc 0 activation input must be finite"),
+        ):
+            net = series(identity_dag(len(x)), elem)
+            for run in (
+                lambda: forward(net, x),
+                lambda: forward_batch(net, [x, x]),
+                lambda: region_code(net, net.output_node, x),
+                lambda: affine_piece(net, net.output_node, x),
+            ):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    with pytest.raises(ValueError, match=f"^{message}$"):
+                        run()
+
+
 def test_non_finite_arc_output_names_the_arc():
     g = identity_dag(2)
     for _ in range(2):

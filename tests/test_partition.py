@@ -38,10 +38,9 @@ from unrectify import (
     relu_spec,
     series,
 )
-from unrectify.basis import cpwl_slope_offset, pool_ids
+from unrectify.basis import _pattern_code, cpwl_piece_ids, cpwl_slope_offset, pool_ids
 from unrectify.graph import propagate
 from unrectify.partition import (
-    _arc_pattern,
     _pattern_arcs,
     _region_labels,
     max_pairwise_distance,
@@ -650,6 +649,12 @@ def test_queries_evaluate_only_the_node_closure():
     assert count_regions_2d(dag, grid_n=21, node_id=inner) == count_regions_2d(sub, grid_n=21)
 
 
+def _arc_pattern(arc, src_values):
+    """Integer pattern ids alone for one activation arc, batch in rows."""
+    act, pre = arc.elem.act, arc.elem.pre_activation(src_values)
+    return pool_ids(act, pre) if isinstance(act, PoolSpec) else cpwl_piece_ids(act, pre)
+
+
 def per_column_labels(dag, node_id, xs):
     """The per-column fold that the per-arc codes replaced, kept as an
     oracle: every pattern column folded alone as ``labels * k + col``."""
@@ -731,35 +736,80 @@ def test_lenet5_probe_labels_equal_per_column_fold():
         assert np.array_equal(labels, expected)
 
 
+def _count_activation_evals(monkeypatch):
+    calls = []
+    original = graph.activation_eval
+
+    def counting(act, x):
+        calls.append(act)
+        return original(act, x)
+
+    monkeypatch.setattr(graph, "activation_eval", counting)
+    return calls
+
+
 def test_one_trace_derives_each_arc_pattern_once(monkeypatch):
-    derived = []
-
-    def counting(arc, src_values):
-        derived.append(arc.id)
-        return _arc_pattern(arc, src_values)
-
-    monkeypatch.setattr(partition, "_arc_pattern", counting)
+    derived = _count_activation_evals(monkeypatch)
     rng = np.random.default_rng(33)
     lw = [tuple(rng.standard_normal(shape) for shape in ((5, 5), 5, (5, 5), 5)) for _ in range(3)]
     dag = build_fusion_stack(lw, mode="probe")
     xs = rng.standard_normal((100, 5))
+    # the batch walk derives each activation arc's pattern once, with its value
     _, trace = forward_batch(dag, xs)
-    queried = set()
+    acts = [arc.elem.act for arc in dag.arcs if arc.elem.act is not None]
+    assert sorted(map(id, derived)) == sorted(map(id, acts))
+    derived.clear()
     for j in (3, 1, 2):
         for channel in ("bottom", "fusion", "top"):
-            node = dag.labels[f"layer{j}.{channel}"]
-            partition_stats(dag, node, xs, trace=trace)
-            queried |= {arc.id for arc in _pattern_arcs(dag, node)}
+            partition_stats(dag, dag.labels[f"layer{j}.{channel}"], xs, trace=trace)
     for j in (2, 1):
         fine, coarse = dag.labels[f"layer{j + 1}.fusion"], dag.labels[f"layer{j}.fusion"]
         assert check_refinement(dag, fine, coarse, xs, trace=trace).ok
-    assert sorted(derived) == sorted(queried)
+    assert derived == []  # queries on the trace derive nothing
 
     # without a trace, a refinement check derives the fine node's arcs once
-    derived.clear()
     fine, coarse = dag.labels["layer3.fusion"], dag.labels["layer2.top"]
     assert check_refinement(dag, fine, coarse, xs).ok
-    assert sorted(derived) == sorted(arc.id for arc in _pattern_arcs(dag, fine))
+    assert sorted(map(id, derived)) == sorted(id(arc.elem.act) for arc in _pattern_arcs(dag, fine))
+
+
+def test_batch_queries_on_a_trace_compute_no_pre_activation(monkeypatch):
+    rng = np.random.default_rng(41)
+    for dag in [*_fold_cases(), build_lenet5(seed=0)]:
+        xs = rng.uniform(-1.0, 1.0, (30, dag.input_dim))
+        _, trace = forward_batch(dag, xs)
+        calls = _count_pre_activations(monkeypatch)
+        for node in range(0, len(dag.nodes), max(1, len(dag.nodes) // 8)):
+            partition_stats(dag, node, xs, trace=trace)
+            check_refinement(dag, dag.output_node, node, xs, trace=trace)
+        assert calls == []
+        monkeypatch.undo()
+
+
+def test_batch_trace_codes_equal_the_pattern_code_of_the_ids_only_oracle():
+    rng = np.random.default_rng(42)
+    nets = list(_fold_cases()) + [build_lenet5(seed=0), build_demo_network(seed=3)]
+    for dag in nets:
+        signed_zeros = rng.choice([-0.0, 0.0, 0.5, -0.5, 1.0], size=(40, dag.input_dim))
+        for xs in (signed_zeros, rng.uniform(-4.0, 4.0, (40, dag.input_dim))):
+            _, trace = forward_batch(dag, xs)
+            for arc in _pattern_arcs(dag, dag.output_node):
+                code, bound = trace.patterns[arc.id]
+                expected, expected_bound = _pattern_code(arc.elem.act, _arc_pattern(arc, trace[arc.src]))
+                assert code.dtype == expected.dtype == np.int64
+                assert np.array_equal(code, expected)
+                assert bound == expected_bound
+
+
+def test_batch_queries_refuse_the_trace_of_one_input():
+    dag = build_demo_network(seed=3)
+    x = np.random.default_rng(43).standard_normal(dag.input_dim)
+    _, trace = forward(dag, x)
+    message = re.escape(f"batch must have shape (n, {dag.input_dim}), got ({dag.input_dim},)")
+    with pytest.raises(ValueError, match=message):
+        partition_stats(dag, dag.output_node, x, trace=trace)
+    with pytest.raises(ValueError, match=message):
+        check_refinement(dag, dag.output_node, 0, x, trace=trace)
 
 
 def test_trace_of_another_graph_is_rejected():
@@ -769,7 +819,7 @@ def test_trace_of_another_graph_is_rejected():
     fine, coarse = a.output_node, a.labels["channel0"]
     _, trace = forward_batch(a, xs)
     assert partition_stats(a, fine, xs, trace=trace) == partition_stats(a, fine, xs)
-    assert trace.codes  # A's codes are filled
+    assert trace.patterns  # A's codes are kept
     for graph, given in ((b, trace), (b, dict(trace)), (a, dict(trace))):
         with pytest.raises(ValueError, match="another graph"):
             partition_stats(graph, fine, xs, trace=given)
@@ -876,7 +926,7 @@ def test_lenet5_queries_compute_one_pre_activation_per_arc(monkeypatch):
 
 
 def test_region_codes_equal_the_batch_patterns_through_plain_pools_and_wide_cpwls():
-    # the single-input walk's ids against the batch path's ids-only derivation,
+    # the single-input walk's ids against the ids-only oracle ``_arc_pattern``,
     # on plain block-3 pools whose blocks tie (signed zeros among them) and a
     # 45-piece CPWL arc whose pre-activations sit on its knots
     rng = np.random.default_rng(40)
